@@ -5,19 +5,15 @@ Subcommands: generate, train, diagnose, verify <suite>, plotdata.
 Exit codes: 0 pass, 1 suite failure, 2 usage/config error, 3 numeric failure.
 
 File-writing commands refuse to overwrite existing outputs unless --force is
-given; with identical inputs plus --force every command is idempotent.  The
-environment variable TWOLAYER_OPT_THREADS caps how many repetitions of a
-training command run in parallel.
+given; with identical inputs plus --force every command is idempotent.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,26 +136,34 @@ def _activation_name(args, spec: ExperimentSpec) -> str:
     return args.activation or spec.activation
 
 
+def _dataset_recipe(args, spec: ExperimentSpec, data_seed) -> dict:
+    """make_realizable arguments: flags first, then the spec's inline recipe.
+
+    data_seed is the flag value for the data seed (None when not given)."""
+    recipe = spec.dataset
+
+    def pick(flag, key, default=None):
+        return flag if flag is not None else recipe.get(key, default)
+
+    d, N = pick(args.d, "d"), pick(args.n_samples, "N")
+    if d is None or N is None:
+        raise ConfigError(
+            "no dataset: pass --d and --n-samples (train also takes --data)")
+    return {"d": int(d), "N": int(N),
+            "dist": args.dist or recipe.get("dist", "uniform_cube"),
+            "seed": int(pick(data_seed, "seed", 0)),
+            "teacher_seed": pick(args.teacher_seed, "teacher_seed"),
+            "noise_std": float(pick(args.noise_std, "noise_std", 0.0))}
+
+
 def _dataset_from_args(args, spec: ExperimentSpec, activation: str):
     """Dataset from --data path, the spec's dataset entry, or inline flags."""
-    recipe = spec.dataset
-    path = args.data or recipe.get("path")
+    path = args.data or spec.dataset.get("path")
     if path:
         return ds_mod.load(path), str(path)
-    d = args.d if args.d is not None else recipe.get("d")
-    N = args.n_samples if args.n_samples is not None else recipe.get("N")
-    if d is None or N is None:
-        raise ConfigError("no dataset: pass --data or (--d and --n-samples)")
-    dist = args.dist or recipe.get("dist", "uniform_cube")
-    seed = args.data_seed if args.data_seed is not None else recipe.get("seed", 0)
-    teacher_seed = (args.teacher_seed if args.teacher_seed is not None
-                    else recipe.get("teacher_seed"))
-    noise = (args.noise_std if args.noise_std is not None
-             else recipe.get("noise_std", 0.0))
-    ds = ds_mod.make_realizable(int(d), int(N), dist, int(seed),
-                                activation=activation,
-                                teacher_seed=teacher_seed, noise_std=float(noise))
-    return ds, f"inline(d={d}, N={N}, dist={dist}, seed={seed})"
+    recipe = _dataset_recipe(args, spec, args.data_seed)
+    ds = ds_mod.make_realizable(activation=activation, **recipe)
+    return ds, "inline(d={d}, N={N}, dist={dist}, seed={seed})".format(**recipe)
 
 
 def _run_config_from_args(args, spec: ExperimentSpec) -> RunConfig:
@@ -197,22 +201,14 @@ def _run_config_from_args(args, spec: ExperimentSpec) -> RunConfig:
 
 def cmd_generate(args) -> int:
     spec = _load_spec(args)
-    recipe = spec.dataset
-    d = args.d if args.d is not None else recipe.get("d")
-    N = args.n_samples if args.n_samples is not None else recipe.get("N")
-    if d is None or N is None:
-        raise ConfigError("generate needs --d and --n-samples")
-    d, N = int(d), int(N)
+    data_seed = args.data_seed if args.data_seed is not None else args.seed
+    recipe = _dataset_recipe(args, spec, data_seed)
+    d, N, dist = recipe["d"], recipe["N"], recipe["dist"]
     if args.warn_overparam and N > d * d:
         print(f"warning: N={N} exceeds d^2={d * d}; the full-column-rank "
               "certificate needs the number of samples to stay below the "
               "number of parameters (N <= n*d)", file=sys.stderr)
-    dist = args.dist or recipe.get("dist", "uniform_cube")
-    seed = args.data_seed if args.data_seed is not None else (args.seed or 0)
-    ds = ds_mod.make_realizable(
-        d, N, dist, int(seed), activation=_activation_name(args, spec),
-        teacher_seed=args.teacher_seed,
-        noise_std=args.noise_std if args.noise_std is not None else 0.0)
+    ds = ds_mod.make_realizable(activation=_activation_name(args, spec), **recipe)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.name}.csv"
@@ -262,18 +258,8 @@ def cmd_train(args) -> int:
                     out_dir / f"{name}_rep{rep}.manifest.json"]
     _ensure_writable(outputs, args.force)
 
-    env_cap = os.environ.get("TWOLAYER_OPT_THREADS", "")
-    workers = min(reps, int(env_cap)) if env_cap.strip() else min(reps, os.cpu_count() or 1)
-    workers = max(1, workers)
-    if workers == 1:
-        manifests = [_train_one(name, rep, cfg.seed, activation, ds, cfg, out_dir)
-                     for rep in range(reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_train_one, name, rep, cfg.seed,
-                                   activation, ds, cfg, out_dir)
-                       for rep in range(reps)]
-            manifests = [f.result() for f in futures]
+    manifests = [_train_one(name, rep, cfg.seed, activation, ds, cfg, out_dir)
+                 for rep in range(reps)]
 
     print(f"# {name}: {reps} repetition(s), dataset {ds_desc}")
     print(f"{'rep':>4} {'final_f':>14} {'min_grad_norm':>14} {'min_sigma_min_D':>16}")
@@ -345,31 +331,6 @@ def _check(name, measured, threshold, comparison, ok):
             "comparison": comparison, "pass": bool(ok)}
 
 
-def _fd_grad_check(params, act, ds, step=1e-5):
-    """Max relative error of the analytic gradients against central
-    finite differences of the loss."""
-    def fd(get, setp, shape):
-        g = np.zeros(shape)
-        it = np.nditer(g, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            for sign in (+1.0, -1.0):
-                pert = get().copy()
-                pert[idx] += sign * step
-                g[idx] += sign * model.loss(setp(pert), act, ds)
-        return g / (2.0 * step)
-
-    gw = model.grad_W(params, act, ds)
-    gt = model.grad_theta(params, act, ds)
-    fw = fd(lambda: params.W, lambda W: model.NetworkParams(W, params.theta),
-            params.W.shape)
-    ft = fd(lambda: params.theta, lambda t: model.NetworkParams(params.W, t),
-            params.theta.shape)
-    err_w = np.linalg.norm(fw - gw) / max(np.linalg.norm(gw), 1e-12)
-    err_t = np.linalg.norm(ft - gt) / max(np.linalg.norm(gt), 1e-12)
-    return max(float(err_w), float(err_t))
-
-
 def suite_gradcheck(activation: str, seed: int = 0, instances: int = 5) -> list:
     act = builtin_activation(activation)
     rng = np.random.default_rng(seed)
@@ -381,7 +342,11 @@ def suite_gradcheck(activation: str, seed: int = 0, instances: int = 5) -> list:
         params = model.NetworkParams(rng.normal(size=(n, d)), rng.normal(size=n))
         ds = ds_mod.Dataset(rng.uniform(-1, 1, size=(N, d)), rng.normal(size=N),
                             ds_mod.Provenance("uniform_cube", seed))
-        worst = max(worst, _fd_grad_check(params, act, ds))
+        fd_w, fd_t = model.fd_gradients(params, act, ds)
+        for fd, exact in ((fd_w, model.grad_W(params, act, ds)),
+                          (fd_t, model.grad_theta(params, act, ds))):
+            err = np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-12)
+            worst = max(worst, float(err))
     return [_check("max_fd_relative_error", worst, 1e-6, "<=", worst <= 1e-6)]
 
 
@@ -518,6 +483,8 @@ def suite_certify(activation: str, seed: int = 0, n_outer: int = 150,
                ratio <= 1 + 1e-8),
         _check("sigma_min_D_positive", cert.sigma_min_D, 0.0, ">",
                cert.sigma_min_D > 0.0),
+        _check("verdict", cert.verdict, "certified_near_global", "==",
+               cert.verdict == "certified_near_global"),
     ]
 
 

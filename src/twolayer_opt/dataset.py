@@ -161,15 +161,7 @@ def save(ds: Dataset, path) -> None:
 
 def load(path) -> Dataset:
     """Inverse of save (bit-exact on all numeric fields)."""
-    path = Path(path)
-    meta_path = path.with_suffix(".meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read dataset from {path}: {exc}") from exc
+    meta, lines = model.read_with_sidecar(path, "dataset", ("d", "N"))
     d = int(meta["d"])
     inputs, labels = [], []
     for i, line in enumerate(lines, start=1):

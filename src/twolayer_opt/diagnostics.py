@@ -21,7 +21,8 @@ import numpy as np
 
 from .activations import ActivationFunction
 from .errors import ConfigError, NumericsError, ShapeError
-from .model import NetworkParams, grad_W, loss, stationarity_system
+from .model import (NetworkParams, _features, grad_W, khatri_rao, loss,
+                    stationarity_system)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -114,16 +115,12 @@ def collection_matrix(a: ActivationFunction, W, inputs) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2:
         raise ShapeError(f"inputs must be (N, d), got shape {inputs.shape}")
-    N, d = inputs.shape
-    if W is None:
-        Z = inputs
-    else:
-        W = np.asarray(W, dtype=float)
-        if W.shape != (d, d):
-            raise ShapeError(f"W must be square ({d}, {d}), got {W.shape}")
-        Z = inputs @ W.T
-    H = np.asarray(a.eval(Z), dtype=float)        # (N, d)
-    return np.einsum("ij,ik->jki", H, inputs).reshape(d * d, N)
+    d = inputs.shape[1]
+    W = np.eye(d) if W is None else np.asarray(W, dtype=float)
+    if W.shape != (d, d):
+        raise ShapeError(f"W must be square ({d}, {d}), got {W.shape}")
+    U, _, H = _features(a, W, inputs)
+    return khatri_rao(H, U)
 
 
 def collection_rank(a: ActivationFunction, W, inputs,
@@ -141,6 +138,27 @@ def theta_smoothness(features: np.ndarray) -> float:
     return top * top / features.shape[0]
 
 
+def _w_smoothness(a: ActivationFunction, ds: "Dataset", theta_max: float,
+                 theta_norm: float):
+    """(L_W, sum ||u||^2 |v|, sum ||u||^2): the W-gradient Lipschitz bound of
+    lipschitz_estimates for any theta with max_j |theta_j| <= theta_max and
+    ||theta||_2 <= theta_norm, and the two data sums it is made of."""
+    if a.deriv_lipschitz is None or a.grad_H_bound is None:
+        raise ConfigError(
+            f"activation {a.name!r} has no finite smoothness constants; "
+            "the W-gradient Lipschitz bound is undefined for it")
+    U = np.asarray(ds.inputs, dtype=float)
+    v = np.asarray(ds.labels, dtype=float)
+    N, d = U.shape
+    u_sq = np.sum(U * U, axis=1)
+    sum_u2_absv = float(u_sq @ np.abs(v))
+    sum_u2 = float(np.sum(u_sq))
+    l_w = (theta_max / N) * (
+        a.deriv_lipschitz * sum_u2_absv
+        + np.sqrt(2.0 * d) * a.grad_H_bound * theta_norm * sum_u2)
+    return float(l_w), sum_u2_absv, sum_u2
+
+
 def lipschitz_estimates(p: NetworkParams, a: ActivationFunction,
                         ds: "Dataset") -> LipschitzEstimate:
     """Data-dependent W-gradient Lipschitz bound and exact theta constant.
@@ -150,31 +168,15 @@ def lipschitz_estimates(p: NetworkParams, a: ActivationFunction,
     L_theta_exact = lambda_max(sum_i h(W u_i) h(W u_i)^T) / N
     L_theta_bound_analytic = u^2 n when |h| <= u is available.
     """
-    if a.deriv_lipschitz is None or a.grad_H_bound is None:
-        raise ConfigError(
-            f"activation {a.name!r} has no finite smoothness constants; "
-            "the W-gradient Lipschitz bound is undefined for it")
-    U = np.asarray(ds.inputs, dtype=float)
-    if U.shape[1] != p.d:
-        raise ShapeError(f"dataset dim {U.shape[1]} != model d={p.d}")
-    v = np.asarray(ds.labels, dtype=float)
-    N, d = U.shape
-    u_sq = np.sum(U * U, axis=1)
-    sum_u2_absv = float(u_sq @ np.abs(v))
-    sum_u2 = float(np.sum(u_sq))
     theta_max = float(np.max(np.abs(p.theta)))
     theta_norm = float(np.linalg.norm(p.theta))
-    l_w = (theta_max / N) * (
-        a.deriv_lipschitz * sum_u2_absv
-        + np.sqrt(2.0 * d) * a.grad_H_bound * theta_norm * sum_u2)
-
-    H = np.asarray(a.eval(U @ p.W.T), dtype=float)
-    l_theta = theta_smoothness(H)
+    l_w, sum_u2_absv, sum_u2 = _w_smoothness(a, ds, theta_max, theta_norm)
+    _, _, H = _features(a, p.W, ds.inputs)
     l_theta_analytic = (
         a.value_bound ** 2 * p.n if a.value_bound is not None else None)
     return LipschitzEstimate(
-        l_w_bound=float(l_w),
-        l_theta_exact=float(l_theta),
+        l_w_bound=l_w,
+        l_theta_exact=float(theta_smoothness(H)),
         l_theta_bound_analytic=l_theta_analytic,
         inputs_summary={
             "theta_max": theta_max,
@@ -189,17 +191,8 @@ def lipschitz_ball_bound(a: ActivationFunction, ds: "Dataset", R: float) -> floa
     """Worst case of L_W_bound over the feasible ball ||theta||_2 <= R/2
     (then also theta_max <= R/2), so the constant is uniform across outer
     iterations."""
-    if a.deriv_lipschitz is None or a.grad_H_bound is None:
-        raise ConfigError(
-            f"activation {a.name!r} has no finite smoothness constants")
-    U = np.asarray(ds.inputs, dtype=float)
-    v = np.asarray(ds.labels, dtype=float)
-    N, d = U.shape
-    u_sq = np.sum(U * U, axis=1)
     r = R / 2.0
-    return float((r / N) * (
-        a.deriv_lipschitz * (u_sq @ np.abs(v))
-        + np.sqrt(2.0 * d) * a.grad_H_bound * r * np.sum(u_sq)))
+    return _w_smoothness(a, ds, r, r)[0]
 
 
 def column_sigma_extremes(M: np.ndarray):

@@ -64,19 +64,10 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class StationaritySystem:
-    """Matrix D ((n*d) x N), residual vector s (N,), and the row layout."""
+    """Matrix D ((n*d) x N) and residual vector s (N,)."""
 
     D: np.ndarray
     s: np.ndarray
-    row_block_map: str
-
-
-def _check_input_dims(p: NetworkParams, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != p.d:
-        raise ShapeError(
-            f"inputs of shape {inputs.shape} incompatible with d={p.d}")
-    return inputs
 
 
 def forward(p: NetworkParams, a: ActivationFunction, u) -> float:
@@ -87,34 +78,54 @@ def forward(p: NetworkParams, a: ActivationFunction, u) -> float:
     return float(p.theta @ np.asarray(a.eval(p.W @ u), dtype=float))
 
 
-def _features(p: NetworkParams, a: ActivationFunction, ds: "Dataset"):
-    """Pre-activations Z = U W^T and features H = h(Z), both (N, n)."""
-    U = _check_input_dims(p, ds.inputs)
-    Z = U @ p.W.T
+def _features(a: ActivationFunction, W: np.ndarray, inputs):
+    """Inputs U (N, d), pre-activations Z = U W^T and features H = h(Z),
+    both (N, n)."""
+    U = np.asarray(inputs, dtype=float)
+    if U.ndim != 2 or U.shape[1] != W.shape[1]:
+        raise ShapeError(
+            f"inputs of shape {U.shape} incompatible with d={W.shape[1]}")
+    Z = U @ W.T
     return U, Z, np.asarray(a.eval(Z), dtype=float)
+
+
+def khatri_rao(A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Column-wise Khatri-Rao product: the (n*d, N) matrix whose column i is
+    the row-major flattening of the outer product of rows A[i] (n,) and
+    U[i] (d,)."""
+    (N, n), d = A.shape, U.shape[1]
+    return np.einsum("ij,ik->jki", A, U).reshape(n * d, N)
 
 
 def residuals(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """s_i = v_i - theta^T h(W u_i)."""
-    _, _, H = _features(p, a, ds)
+    _, _, H = _features(a, p.W, ds.inputs)
     return np.asarray(ds.labels, dtype=float) - H @ p.theta
 
 
-def loss(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> float:
-    s = residuals(p, a, ds)
+def objective(s: np.ndarray) -> float:
+    """f = ||s||^2 / 2N from the residual vector s."""
     return float(s @ s / (2.0 * len(s)))
+
+
+def loss(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> float:
+    return objective(residuals(p, a, ds))
+
+
+def theta_gradient(H: np.ndarray, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Gradient in theta of (1/2N) ||v - H theta||^2 on fixed features H."""
+    return -(H.T @ (v - H @ theta)) / len(v)
 
 
 def grad_theta(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """Exact gradient of f in theta: -(1/N) sum_i s_i h(W u_i)."""
-    _, _, H = _features(p, a, ds)
-    s = np.asarray(ds.labels, dtype=float) - H @ p.theta
-    return -(H.T @ s) / len(s)
+    _, _, H = _features(a, p.W, ds.inputs)
+    return theta_gradient(H, np.asarray(ds.labels, dtype=float), p.theta)
 
 
 def grad_W(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """Exact gradient of f in W, entry (j,k) = -(1/N) sum_i s_i h'(z_ij) theta_j u_ik."""
-    U, Z, H = _features(p, a, ds)
+    U, Z, H = _features(a, p.W, ds.inputs)
     s = np.asarray(ds.labels, dtype=float) - H @ p.theta
     A = np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :] * s[:, None]
     return -(A.T @ U) / len(s)
@@ -123,17 +134,49 @@ def grad_W(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray
 def stationarity_system(p: NetworkParams, a: ActivationFunction,
                         ds: "Dataset") -> StationaritySystem:
     """Assemble D and s so that vect(grad_W f) = -(1/N) D s."""
-    U, Z, H = _features(p, a, ds)
+    U, Z, H = _features(a, p.W, ds.inputs)
     s = np.asarray(ds.labels, dtype=float) - H @ p.theta
     scaled = np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :]  # (N, n)
-    # column i is vect of the rank-one matrix scaled[i]^T u_i^T
-    D = np.einsum("ij,ik->jki", scaled, U).reshape(p.n * p.d, len(s))
-    return StationaritySystem(
-        D=D, s=s,
-        row_block_map=(
-            "row j*d + k of D corresponds to entry (j, k) of W "
-            "(hidden row j, input coordinate k); row-major blocks of size d"),
-    )
+    return StationaritySystem(D=khatri_rao(scaled, U), s=s)
+
+
+def fd_gradients(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
+                 step: float = 1e-5):
+    """Central finite differences (f(x+h) - f(x-h)) / 2h of the loss in
+    every entry of W and theta: the independent check of the analytic
+    gradients.  Returns (fd_W, fd_theta)."""
+    def fd_array(base, rebuild):
+        g = np.zeros_like(base)
+        for idx in np.ndindex(base.shape):
+            hi, lo = base.copy(), base.copy()
+            hi[idx] += step
+            lo[idx] -= step
+            g[idx] = (loss(rebuild(hi), a, ds) - loss(rebuild(lo), a, ds)) / (2.0 * step)
+        return g
+
+    return (fd_array(p.W, lambda W: NetworkParams(W, p.theta)),
+            fd_array(p.theta, lambda t: NetworkParams(p.W, t)))
+
+
+def read_with_sidecar(path, what: str, keys) -> tuple:
+    """(sidecar dict, CSV lines) for the CSV at path and its .meta.json
+    sidecar; a sidecar that is not a JSON object holding every key in keys
+    raises FormatError."""
+    path = Path(path)
+    meta_path = path.with_suffix(".meta.json")
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"sidecar {meta_path} is not a JSON object")
+    for key in keys:
+        if key not in meta:
+            raise FormatError(f"sidecar {meta_path} lacks key {key!r}")
+    return meta, lines
 
 
 def save_params(p: NetworkParams, path, activation: str) -> None:
@@ -153,15 +196,7 @@ def save_params(p: NetworkParams, path, activation: str) -> None:
 
 def load_params(path):
     """Inverse of save_params; returns (NetworkParams, activation name)."""
-    path = Path(path)
-    meta_path = path.with_suffix(".meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read parameters from {path}: {exc}") from exc
+    meta, lines = read_with_sidecar(path, "parameters", ("n", "d", "activation"))
     n, d = int(meta["n"]), int(meta["d"])
     if len(lines) != n + 1:
         raise FormatError(f"expected {n + 1} rows, found {len(lines)}", line=len(lines))

@@ -21,6 +21,7 @@ one seeded generator, drawn in a fixed order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -30,8 +31,8 @@ from .activations import ActivationFunction
 from .diagnostics import (column_sigma_extremes, lipschitz_ball_bound,
                           lipschitz_estimates, theta_smoothness)
 from .errors import ConfigError, NumericsError, ShapeError
-from .model import (NetworkParams, grad_theta, grad_W, loss,
-                    stationarity_system)
+from .model import (NetworkParams, _features, grad_W, loss, objective,
+                    stationarity_system, theta_gradient)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -168,27 +169,22 @@ def prox_ball(x, y, radius: float) -> np.ndarray:
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     z = x - y
-    norm = float(np.linalg.norm(z))
+    norm = math.sqrt(z.dot(z))   # np.linalg.norm's own arithmetic, less overhead
     if norm <= radius:
         return z
     return z * (radius / norm)
 
 
-def _project_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    norm = float(np.linalg.norm(x))
-    return x if norm <= radius else x * (radius / norm)
-
-
-def stochastic_theta_grad(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
+def stochastic_theta_grad(H: np.ndarray, v: np.ndarray, theta: np.ndarray,
                           sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Exact theta-gradient plus Gaussian noise with E||xi||^2 = sigma^2
-    (coordinates i.i.d. N(0, sigma^2/n))."""
+    """Exact theta-gradient on the fixed features H plus Gaussian noise with
+    E||xi||^2 = sigma^2 (coordinates i.i.d. N(0, sigma^2/n))."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    g = grad_theta(p, a, ds)
+    g = theta_gradient(H, v, theta)
     if sigma == 0.0:
         return g
-    return g + rng.normal(0.0, sigma / np.sqrt(g.size), size=g.size)
+    return g + rng.normal(0.0, sigma / math.sqrt(g.size), size=g.size)
 
 
 def _resolve_beta(cfg: RunConfig, l_theta: float, n_inner: int) -> float:
@@ -217,58 +213,57 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     sigma = cfg.sigma if sigma is None else sigma
     radius = cfg.R / 2.0
 
-    U = np.asarray(ds.inputs, dtype=float)
-    if U.shape[1] != p.d:
-        raise ShapeError(f"dataset dim {U.shape[1]} != model d={p.d}")
+    _, _, H = _features(a, p.W, ds.inputs)   # fixed during the phase
     v = np.asarray(ds.labels, dtype=float)
-    N = len(v)
-    H = np.asarray(a.eval(U @ p.W.T), dtype=float)   # fixed during the phase
 
     def f_of(theta):
-        r = v - H @ theta
-        return float(r @ r / (2.0 * N))
+        return objective(v - H @ theta)
 
     l_theta = theta_smoothness(H)
     beta = _resolve_beta(cfg, l_theta, n_inner)
-    coord_scale = sigma / np.sqrt(p.n) if sigma > 0 else 0.0
 
     f_incoming = f_of(p.theta)
     theta_bar = p.theta
     sum_w = 0.0
     sum_wtheta = np.zeros_like(p.theta)
-    theta_avg = p.theta
     steps = 0
     exited = False
     for _ in range(n_inner):
-        g = -(H.T @ (v - H @ theta_bar)) / N
-        if coord_scale > 0.0:
-            g = g + rng.normal(0.0, coord_scale, size=p.n)
-        theta_bar = _project_ball(theta_bar - beta * g, radius)
+        g = stochastic_theta_grad(H, v, theta_bar, sigma, rng)
+        theta_bar = prox_ball(theta_bar, beta * g, radius)
         sum_w += beta
         sum_wtheta = sum_wtheta + beta * theta_bar
-        theta_avg = sum_wtheta / sum_w
         steps += 1
-        if cfg.early_exit and f_of(theta_avg) <= f_incoming:
+        if cfg.early_exit and f_of(sum_wtheta / sum_w) <= f_incoming:
             exited = True
             break
+    theta_avg = sum_wtheta / sum_w if steps else p.theta
     return theta_avg, InnerSummary(steps=steps, final_f=f_of(theta_avg),
                                    beta=beta, l_theta=l_theta,
                                    early_exit=exited)
 
 
-def outer_step(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
-               gamma: float, lipschitz_bound: Optional[float] = None) -> NetworkParams:
-    """One full-gradient descent step on W (theta unchanged).
-
-    gamma must satisfy 0 < gamma < 2/L; by default L is the data-dependent
-    W-smoothness bound at the current theta.
-    """
-    if lipschitz_bound is None:
-        lipschitz_bound = lipschitz_estimates(p, a, ds).l_w_bound
+def _check_gamma(gamma: float, lipschitz_bound: float) -> None:
     cap = np.inf if lipschitz_bound == 0.0 else 2.0 / lipschitz_bound
     if not 0.0 < gamma < cap:
         raise ConfigError(f"gamma={gamma} outside (0, 2/L) with L={lipschitz_bound}")
-    return replace(p, W=p.W - gamma * grad_W(p, a, ds))
+
+
+def outer_step(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
+               gamma: float, lipschitz_bound: Optional[float] = None,
+               grad: Optional[np.ndarray] = None) -> NetworkParams:
+    """One full-gradient descent step on W (theta unchanged).
+
+    gamma must satisfy 0 < gamma < 2/L; by default L is the data-dependent
+    W-smoothness bound at the current theta.  grad, when given, is
+    grad_W f at p, already computed by the caller.
+    """
+    if lipschitz_bound is None:
+        lipschitz_bound = lipschitz_estimates(p, a, ds).l_w_bound
+    _check_gamma(gamma, lipschitz_bound)
+    if grad is None:
+        grad = grad_W(p, a, ds)
+    return replace(p, W=p.W - gamma * grad)
 
 
 def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
@@ -280,28 +275,22 @@ def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     Warm-started at the (projected) least-squares solution, so convergence
     is typically immediate.
     """
-    U = np.asarray(ds.inputs, dtype=float)
+    _, _, H = _features(a, p.W, ds.inputs)
     v = np.asarray(ds.labels, dtype=float)
-    H = np.asarray(a.eval(U @ p.W.T), dtype=float)
-    N = len(v)
     l_theta = theta_smoothness(H)
     if l_theta == 0.0:
         return np.zeros(p.n)
     eta = 1.0 / l_theta
-    theta = _project_ball(np.linalg.lstsq(H, v, rcond=None)[0], radius)
+    lstsq = np.linalg.lstsq(H, v, rcond=None)[0]
+    theta = prox_ball(lstsq, np.zeros_like(lstsq), radius)
     for _ in range(max_iter):
-        g = -(H.T @ (v - H @ theta)) / N
-        nxt = _project_ball(theta - eta * g, radius)
+        nxt = prox_ball(theta, eta * theta_gradient(H, v, theta), radius)
         if np.linalg.norm(theta - nxt) / eta <= tol:
             return nxt
         theta = nxt
     raise NumericsError(
         f"theta-subproblem solver did not reach gradient-map tol {tol} "
         f"in {max_iter} iterations")
-
-
-def _sigma_min_w(W: np.ndarray) -> float:
-    return float(np.linalg.svd(W, compute_uv=False)[-1])
 
 
 def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
@@ -323,33 +312,31 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
         n_inner, sigma = cfg.n_inner, cfg.sigma
 
     L_ball = lipschitz_ball_bound(a, ds, cfg.R)
-    gamma_cap = np.inf if L_ball == 0.0 else 2.0 / L_ball
     if cfg.theorem2_preset or cfg.gamma_policy == "one_over_L":
         gamma = 1.0 if L_ball == 0.0 else 1.0 / L_ball
     else:
         gamma = cfg.gamma
-    if not 0.0 < gamma < gamma_cap:
-        raise ConfigError(f"gamma={gamma} outside (0, 2/L) with L={L_ball}")
+    _check_gamma(gamma, L_ball)
 
     W = rng.normal(0.0, cfg.init_w_scale / np.sqrt(d), size=(d, d))
-    theta = _project_ball(rng.normal(0.0, cfg.init_theta_scale, size=d), cfg.R / 2.0)
+    theta0 = rng.normal(0.0, cfg.init_theta_scale, size=d)
+    theta = prox_ball(theta0, np.zeros(d), cfg.R / 2.0)
     params = NetworkParams(W, theta)
     f_init = loss(params, a, ds)
 
-    names = ("k", "f", "grad", "smw", "smd", "resid", "isteps", "ifinal")
-    rows = {name: [] for name in names}
+    rows = []   # one value per TRAJECTORY_COLUMNS entry, in that order
 
     def record(k, p, steps, inner_final):
         sys = stationarity_system(p, a, ds)
         g = grad_W(p, a, ds)
-        s_norm = float(np.linalg.norm(sys.s))
-        f_val = float(sys.s @ sys.s / (2.0 * len(sys.s)))
+        f_val = objective(sys.s)
         smd, _ = column_sigma_extremes(sys.D)
-        vals = (k, f_val, float(np.linalg.norm(g)), _sigma_min_w(p.W), smd,
-                s_norm, steps, inner_final if inner_final is not None else f_val)
-        for name, val in zip(names, vals):
-            rows[name].append(val)
-        if not all(np.isfinite(v) for v in vals[1:6]):
+        row = (k, f_val, float(np.linalg.norm(g)),
+               float(np.linalg.svd(p.W, compute_uv=False)[-1]), smd,
+               float(np.linalg.norm(sys.s)), steps,
+               inner_final if inner_final is not None else f_val)
+        rows.append(row)
+        if not all(np.isfinite(v) for v in row[1:6]):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
         return g
 
@@ -358,21 +345,12 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
                                    n_inner=n_inner, sigma=sigma)
         params = replace(params, theta=theta)
         g = record(k, params, summary.steps, summary.final_f)
-        params = replace(params, W=params.W - gamma * g)
-        if not np.all(np.isfinite(params.W)):
-            raise NumericsError(f"non-finite W after outer iteration {k}")
+        params = outer_step(params, a, ds, gamma, L_ball, grad=g)
 
     record(n_outer, params, 0, None)
 
     trajectory = TrajectoryRecord(
-        k=np.array(rows["k"], dtype=int),
-        f=np.array(rows["f"]),
-        grad_norm=np.array(rows["grad"]),
-        sigma_min_w=np.array(rows["smw"]),
-        sigma_min_d=np.array(rows["smd"]),
-        resid_norm=np.array(rows["resid"]),
-        inner_steps=np.array(rows["isteps"], dtype=int),
-        inner_final_f=np.array(rows["ifinal"]),
+        *(np.array(column) for column in zip(*rows)),
         derived={
             "n_outer": n_outer, "n_inner": n_inner, "sigma": sigma,
             "gamma": gamma, "L_ball": L_ball, "R": cfg.R,

@@ -1,28 +1,7 @@
 import numpy as np
 import pytest
 
-from twolayer_opt import Dataset, NetworkParams, Provenance, model
-
-
-def fd_gradients(params, act, ds, step=1e-5):
-    """Independent oracle: central finite differences of the loss in every
-    entry of W and theta."""
-    def fd_array(base, rebuild):
-        g = np.zeros_like(base)
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            hi = base.copy()
-            hi[idx] += step
-            lo = base.copy()
-            lo[idx] -= step
-            g[idx] = (model.loss(rebuild(hi), act, ds)
-                      - model.loss(rebuild(lo), act, ds)) / (2.0 * step)
-        return g
-
-    fd_W = fd_array(params.W, lambda W: NetworkParams(W, params.theta))
-    fd_theta = fd_array(params.theta, lambda t: NetworkParams(params.W, t))
-    return fd_W, fd_theta
+from twolayer_opt import Dataset, NetworkParams, Provenance
 
 
 def rel_err(approx, exact):

@@ -7,7 +7,7 @@ lines; every criterion is asserted at its stated tolerance and scale.
 from dataclasses import replace
 
 import numpy as np
-from conftest import fd_gradients, rel_err
+from conftest import rel_err
 
 from twolayer_opt import (Dataset, NetworkParams, Provenance, RunConfig,
                           builtin_activation, certify, collection_rank,
@@ -46,7 +46,7 @@ def test_criterion_01_gradient_correctness():
         act = builtin_activation(name)
         for _ in range(20):
             p, ds = _random_instance(rng)
-            fd_w, fd_t = fd_gradients(p, act, ds, step=1e-5)
+            fd_w, fd_t = model.fd_gradients(p, act, ds, step=1e-5)
             worst = max(worst,
                         rel_err(fd_w, model.grad_W(p, act, ds)),
                         rel_err(fd_t, model.grad_theta(p, act, ds)))

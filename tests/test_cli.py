@@ -35,6 +35,19 @@ class TestGenerate:
         for u, v in zip(ds.inputs, ds.labels):
             assert v == model.forward(params, act, u)
 
+    def test_config_recipe_seed(self, tmp_path):
+        spec = {"dataset": {"d": 3, "N": 9, "seed": 11, "teacher_seed": 4,
+                            "noise_std": 0.1}}
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text(json.dumps(spec))
+        assert run_cli("generate", "--config", str(cfg_path),
+                       "--out", str(tmp_path), "--name", "cfg") == 0
+        got = dataset.load(tmp_path / "cfg.csv")
+        want = dataset.make_realizable(3, 9, seed=11, teacher_seed=4,
+                                       noise_std=0.1)
+        np.testing.assert_array_equal(got.inputs, want.inputs)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
     def test_overparam_warning(self, tmp_path, capsys):
         run_cli("generate", "--d", "2", "--n-samples", "5", "--warn-overparam",
                 "--out", str(tmp_path), "--name", "big")
@@ -132,16 +145,6 @@ class TestTrain:
         m = json.loads((tmp_path / "b" / "cfg_rep0.manifest.json").read_text())
         assert m["config"]["seed"] == 9
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TWOLAYER_OPT_THREADS", "1")
-        data = self._generate(tmp_path)
-        code = run_cli("train", "--data", str(data), "--out", str(tmp_path / "runs"),
-                       "--name", "s", "--reps", "3", "--n-outer", "3",
-                       "--n-inner", "2", "--sigma", "0.2", "--seed", "0")
-        assert code == 0
-        assert all((tmp_path / "runs" / f"s_rep{i}.manifest.json").exists()
-                   for i in range(3))
-
 
 class TestDiagnose:
     def test_report(self, tmp_path, capsys):
@@ -186,6 +189,11 @@ class TestVerify:
 
     def test_certify_suite(self, capsys):
         assert run_cli("verify", "certify") == 0
+
+    def test_certify_suite_fails_linear_control(self, capsys):
+        assert run_cli("verify", "certify", "--activation", "linear") == 1
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["checks"][-1]["measured"] == "rank_deficient"
 
     def test_unknown_suite_usage_error(self, capsys):
         assert run_cli("verify", "nonsense") == 2

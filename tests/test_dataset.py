@@ -12,6 +12,7 @@ from twolayer_opt import (Dataset, FormatError, IoError, NetworkParams,
                           Provenance, ShapeError, Teacher, builtin_activation,
                           dataset, generate_inputs, label_with_teacher, model,
                           random_teacher)
+from twolayer_opt.cli import main
 
 
 class TestGenerateInputs:
@@ -122,6 +123,14 @@ class TestPersistence:
         with pytest.raises(FormatError) as err:
             dataset.load(path)
         assert err.value.line == 3
+
+    def test_sidecar_missing_key(self, tmp_path):
+        path = tmp_path / "data.csv"
+        dataset.save(dataset.make_realizable(2, 3, seed=0), path)
+        path.with_suffix(".meta.json").write_text('{"d": 2}')
+        with pytest.raises(FormatError, match="'N'"):
+            dataset.load(path)
+        assert main(["diagnose", "--data", str(path)]) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):

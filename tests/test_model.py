@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import fd_gradients, fitted_labels, random_instance, rel_err
+from conftest import fitted_labels, random_instance, rel_err
 
 from twolayer_opt import (Dataset, NetworkParams, NumericsError, Provenance,
                           ShapeError, builtin_activation, model)
@@ -111,7 +111,7 @@ class TestGradTheta:
     def test_finite_differences(self, rng):
         for _ in range(5):
             p, ds = random_instance(rng)
-            _, fd_t = fd_gradients(p, SIG, ds)
+            _, fd_t = model.fd_gradients(p, SIG, ds)
             assert rel_err(fd_t, model.grad_theta(p, SIG, ds)) <= 1e-6
 
 
@@ -129,7 +129,7 @@ class TestGradW:
     def test_finite_differences(self, rng):
         for _ in range(5):
             p, ds = random_instance(rng)
-            fd_w, _ = fd_gradients(p, SIG, ds)
+            fd_w, _ = model.fd_gradients(p, SIG, ds)
             assert rel_err(fd_w, model.grad_W(p, SIG, ds)) <= 1e-6
 
 
@@ -188,4 +188,12 @@ class TestParamsPersistence:
         lines[0] += ",9"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
+            model.load_params(path)
+
+    def test_sidecar_missing_key(self, tmp_path):
+        from twolayer_opt import FormatError
+        path = tmp_path / "params.csv"
+        model.save_params(NetworkParams(np.eye(2), np.ones(2)), path, "sigmoid")
+        path.with_suffix(".meta.json").write_text('{"n": 2, "d": 2}')
+        with pytest.raises(FormatError, match="'activation'"):
             model.load_params(path)

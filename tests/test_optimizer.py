@@ -62,25 +62,33 @@ class TestProxBall:
                 assert objective(out) <= objective(z) + 1e-12
 
 
+def _features(p, ds):
+    return np.asarray(SIG.eval(ds.inputs @ p.W.T), dtype=float)
+
+
 class TestStochasticThetaGrad:
     def test_zero_noise_is_exact(self, rng):
         p, ds = random_instance(rng)
-        g = stochastic_theta_grad(p, SIG, ds, 0.0, np.random.default_rng(0))
+        g = stochastic_theta_grad(_features(p, ds), ds.labels, p.theta, 0.0,
+                                  np.random.default_rng(0))
         np.testing.assert_array_equal(g, model.grad_theta(p, SIG, ds))
 
     def test_seed_reproducibility(self, rng):
         p, ds = random_instance(rng)
-        g1 = stochastic_theta_grad(p, SIG, ds, 0.5, np.random.default_rng(7))
-        g2 = stochastic_theta_grad(p, SIG, ds, 0.5, np.random.default_rng(7))
+        H = _features(p, ds)
+        g1 = stochastic_theta_grad(H, ds.labels, p.theta, 0.5, np.random.default_rng(7))
+        g2 = stochastic_theta_grad(H, ds.labels, p.theta, 0.5, np.random.default_rng(7))
         np.testing.assert_array_equal(g1, g2)
 
     def test_noise_second_moment(self, rng):
         # E ||xi||^2 = sigma^2 with coordinates N(0, sigma^2 / n)
         p, ds = random_instance(rng, d=3, n=3, N=5)
         sigma = 0.7
+        H = _features(p, ds)
         g0 = model.grad_theta(p, SIG, ds)
         noise_rng = np.random.default_rng(123)
-        sq = [np.sum((stochastic_theta_grad(p, SIG, ds, sigma, noise_rng) - g0) ** 2)
+        sq = [np.sum((stochastic_theta_grad(H, ds.labels, p.theta, sigma, noise_rng)
+                      - g0) ** 2)
               for _ in range(100_000)]
         assert np.mean(sq) == pytest.approx(sigma ** 2, rel=0.02)
 
