@@ -145,15 +145,21 @@ def _dataset_recipe(args, spec: ExperimentSpec, data_seed) -> dict:
     def pick(flag, key, default=None):
         return flag if flag is not None else recipe.get(key, default)
 
+    def number(kind, value, key):
+        return model.json_field(kind, value, f"dataset recipe key {key!r}")
+
     d, N = pick(args.d, "d"), pick(args.n_samples, "N")
     if d is None or N is None:
         raise ConfigError(
             "no dataset: pass --d and --n-samples (train also takes --data)")
-    return {"d": int(d), "N": int(N),
+    teacher_seed = pick(args.teacher_seed, "teacher_seed")
+    return {"d": number(int, d, "d"), "N": number(int, N, "N"),
             "dist": args.dist or recipe.get("dist", "uniform_cube"),
-            "seed": int(pick(data_seed, "seed", 0)),
-            "teacher_seed": pick(args.teacher_seed, "teacher_seed"),
-            "noise_std": float(pick(args.noise_std, "noise_std", 0.0))}
+            "seed": number(int, pick(data_seed, "seed", 0), "seed"),
+            "teacher_seed": (None if teacher_seed is None
+                             else number(int, teacher_seed, "teacher_seed")),
+            "noise_std": number(float, pick(args.noise_std, "noise_std", 0.0),
+                                "noise_std")}
 
 
 def _dataset_from_args(args, spec: ExperimentSpec, activation: str):

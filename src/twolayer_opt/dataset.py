@@ -161,8 +161,8 @@ def save(ds: Dataset, path) -> None:
 
 def load(path) -> Dataset:
     """Inverse of save (bit-exact on all numeric fields)."""
-    meta, lines = model.read_with_sidecar(path, "dataset", ("d", "N"))
-    d = int(meta["d"])
+    meta, lines = model.read_with_sidecar(path, "dataset", {"d": int, "N": int})
+    d = meta["d"]
     inputs, labels = [], []
     for i, line in enumerate(lines, start=1):
         fields = line.split(",")
@@ -175,7 +175,7 @@ def load(path) -> Dataset:
             raise FormatError("non-numeric token", line=i) from None
         inputs.append(values[:d])
         labels.append(values[d])
-    if len(labels) != int(meta["N"]):
+    if len(labels) != meta["N"]:
         raise FormatError(
             f"sidecar promises N={meta['N']} rows, found {len(labels)}",
             line=len(lines))

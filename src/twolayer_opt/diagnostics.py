@@ -7,13 +7,16 @@ the smallest column singular value of D is positive,
     ||s||_2 <= N ||grad_W f||_F / sigma_min(D).
 
 A small gradient plus a well-conditioned D therefore pins the residual (and
-the loss) near zero.  "Full rank" statements about random feature
+the loss) near zero.  The certificate exists only when N <= n*d: a wide D
+(n*d < N) has sigma_min(D) = 0 by shape, so column_sigma_extremes decides
+that case without an SVD.  "Full rank" statements about random feature
 collections are probed by Monte-Carlo at an SVD tolerance; they admit no
 finite certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -197,11 +200,31 @@ def lipschitz_ball_bound(a: ActivationFunction, ds: "Dataset", R: float) -> floa
 
 def column_sigma_extremes(M: np.ndarray):
     """(sigma_min, sigma_max) with sigma_min the smallest *column* singular
-    value: zero whenever M has fewer rows than columns."""
-    svals = np.linalg.svd(M, compute_uv=False)
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    sigma_min = float(svals[-1]) if M.shape[0] >= M.shape[1] else 0.0
-    return sigma_min, sigma_max
+    value of M.
+
+    A wide M (fewer rows than columns) has column rank below its column
+    count, so sigma_min = 0 exactly and no factorization is needed; sigma_max
+    then comes from the largest eigenvalue of the small Gram M M^T.  This is
+    the shape rule of the certificate: it exists only when N <= n*d, and a
+    wide D costs no SVD.  Square and tall M take the full SVD.  Non-finite
+    entries raise NumericsError on both paths."""
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        return 0.0, 0.0
+    lo, hi = float(M.min()), float(M.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericsError("non-finite entries in D")
+    m, n = M.shape
+    if m >= n:
+        svals = np.linalg.svd(M, compute_uv=False)
+        return float(svals[-1]), float(svals[0])
+    # M M^T could overflow or underflow where the SVD (which scales itself)
+    # would not: rescale such an M by a power of two, which is exact.
+    peak = max(-lo, hi)
+    scale = 1.0 if 1e-100 < peak < 1e100 else math.ldexp(1.0, math.frexp(peak)[1])
+    S = M if scale == 1.0 else M / scale
+    top = float(np.linalg.eigvalsh(S @ S.T)[-1])
+    return 0.0, scale * math.sqrt(max(top, 0.0))
 
 
 def certify(p: NetworkParams, a: ActivationFunction, ds: "Dataset",

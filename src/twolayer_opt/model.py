@@ -158,10 +158,23 @@ def fd_gradients(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
             fd_array(p.theta, lambda t: NetworkParams(p.W, t)))
 
 
-def read_with_sidecar(path, what: str, keys) -> tuple:
+def json_field(kind, value, what: str):
+    """kind(value) for a value read from a JSON file; a value kind cannot
+    convert (a null where a number belongs, say) raises FormatError naming
+    what."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(
+            f"{what} must be {kind.__name__}, got {json.dumps(value)}") from None
+
+
+def read_with_sidecar(path, what: str, keys: dict) -> tuple:
     """(sidecar dict, CSV lines) for the CSV at path and its .meta.json
-    sidecar; a sidecar that is not a JSON object holding every key in keys
-    raises FormatError."""
+    sidecar.  keys maps each required sidecar key to its type, and the
+    returned dict holds those keys converted to it; a sidecar that is not a
+    JSON object, lacks a key or holds a value of the wrong kind raises
+    FormatError."""
     path = Path(path)
     meta_path = path.with_suffix(".meta.json")
     try:
@@ -173,9 +186,10 @@ def read_with_sidecar(path, what: str, keys) -> tuple:
         raise IoError(f"cannot read {what} from {path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"sidecar {meta_path} is not a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in meta:
             raise FormatError(f"sidecar {meta_path} lacks key {key!r}")
+        meta[key] = json_field(kind, meta[key], f"sidecar {meta_path} key {key!r}")
     return meta, lines
 
 
@@ -196,8 +210,9 @@ def save_params(p: NetworkParams, path, activation: str) -> None:
 
 def load_params(path):
     """Inverse of save_params; returns (NetworkParams, activation name)."""
-    meta, lines = read_with_sidecar(path, "parameters", ("n", "d", "activation"))
-    n, d = int(meta["n"]), int(meta["d"])
+    meta, lines = read_with_sidecar(path, "parameters",
+                                    {"n": int, "d": int, "activation": str})
+    n, d = meta["n"], meta["d"]
     if len(lines) != n + 1:
         raise FormatError(f"expected {n + 1} rows, found {len(lines)}", line=len(lines))
     rows = []

@@ -15,6 +15,13 @@ def fitted_labels(params, act, inputs):
     return H @ params.theta
 
 
+def svd_extremes(M):
+    """Reference (sigma_min, sigma_max) from the full SVD."""
+    svals = np.linalg.svd(M, compute_uv=False)
+    return (float(svals[-1]) if M.shape[0] >= M.shape[1] else 0.0,
+            float(svals[0]))
+
+
 def random_instance(rng, d=None, n=None, N=None, square=False):
     """Random (params, dataset) pair with uniform-cube inputs and Gaussian
     labels."""

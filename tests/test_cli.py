@@ -48,6 +48,14 @@ class TestGenerate:
         np.testing.assert_array_equal(got.inputs, want.inputs)
         np.testing.assert_array_equal(got.labels, want.labels)
 
+    def test_config_recipe_null_number(self, tmp_path, capsys):
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text('{"dataset": {"d": 3, "N": 9, "seed": null}}')
+        assert run_cli("generate", "--config", str(cfg_path),
+                       "--out", str(tmp_path), "--name", "cfg") == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err and err.count("\n") == 1
+
     def test_overparam_warning(self, tmp_path, capsys):
         run_cli("generate", "--d", "2", "--n-samples", "5", "--warn-overparam",
                 "--out", str(tmp_path), "--name", "big")
@@ -157,6 +165,18 @@ class TestDiagnose:
         assert "sigma_min(D)" in out and "verdict" in out
         report = json.loads((tmp_path / "diag" / "diagnose.json").read_text())
         assert "certificate" in report and "sigma_min_D" in report["certificate"]
+
+
+    def test_sidecar_null_number(self, tmp_path, capsys):
+        run_cli("generate", "--d", "3", "--n-samples", "9",
+                "--out", str(tmp_path), "--name", "demo")
+        meta_path = tmp_path / "demo.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "N": None}))
+        capsys.readouterr()
+        assert run_cli("diagnose", "--data", str(tmp_path / "demo.csv")) == 2
+        err = capsys.readouterr().err
+        assert "'N'" in err and err.count("\n") == 1
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """Dataset generation, teacher labeling, and CSV round-trips."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -131,6 +132,14 @@ class TestPersistence:
         with pytest.raises(FormatError, match="'N'"):
             dataset.load(path)
         assert main(["diagnose", "--data", str(path)]) == 2
+
+    @pytest.mark.parametrize("key", ["d", "N"])
+    def test_sidecar_null_number(self, tmp_path, key):
+        path = tmp_path / "data.csv"
+        dataset.save(dataset.make_realizable(2, 3, seed=0), path)
+        path.with_suffix(".meta.json").write_text(json.dumps({"d": 2, "N": 3, key: None}))
+        with pytest.raises(FormatError, match=f"'{key}'"):
+            dataset.load(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import fitted_labels, random_instance
+from conftest import fitted_labels, random_instance, svd_extremes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -137,6 +137,48 @@ class TestLipschitzEstimates:
             est = lipschitz_estimates(NetworkParams(p.W, theta), SIG, ds)
             ball = diagnostics.lipschitz_ball_bound(SIG, ds, R)
             assert est.l_w_bound <= ball * (1 + 1e-12)
+
+
+class TestColumnSigmaExtremes:
+    @staticmethod
+    def check_against_svd(M):
+        got = diagnostics.column_sigma_extremes(M)
+        want = svd_extremes(M)
+        if M.shape[0] < M.shape[1]:
+            assert got[0] == 0.0
+        else:
+            assert got == want
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 12)),
+           scale=st.sampled_from([1.0, 1e-200, 1e200]), data=st.data())
+    def test_matches_svd(self, shape, scale, data):
+        M = data.draw(arrays(np.float64, shape,
+                             elements=st.floats(-1e3, 1e3, allow_nan=False)))
+        self.check_against_svd(M * scale)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 3), d=st.integers(1, 4), N=st.integers(2, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rank_deficient_khatri_rao(self, n, d, N, seed):
+        # a repeated sample repeats a column of D
+        rng = np.random.default_rng(seed)
+        A, U = rng.normal(size=(N, n)), rng.uniform(-1.0, 1.0, size=(N, d))
+        A[-1], U[-1] = A[0], U[0]
+        self.check_against_svd(model.khatri_rao(A, U))
+
+    @pytest.mark.parametrize("shape", [(3, 7), (4, 4), (7, 3)])
+    def test_zero_matrix(self, shape):
+        assert diagnostics.column_sigma_extremes(np.zeros(shape)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("shape", [(3, 7), (4, 4), (7, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite(self, shape, bad):
+        M = np.ones(shape)
+        M[1, 2] = bad
+        with pytest.raises(NumericsError):
+            diagnostics.column_sigma_extremes(M)
 
 
 class TestCertify:

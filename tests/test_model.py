@@ -1,5 +1,7 @@
 """Forward map, loss, exact gradients, and the D s stationarity identity."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import fitted_labels, random_instance, rel_err
@@ -196,4 +198,14 @@ class TestParamsPersistence:
         model.save_params(NetworkParams(np.eye(2), np.ones(2)), path, "sigmoid")
         path.with_suffix(".meta.json").write_text('{"n": 2, "d": 2}')
         with pytest.raises(FormatError, match="'activation'"):
+            model.load_params(path)
+
+    @pytest.mark.parametrize("key", ["n", "d"])
+    def test_sidecar_null_number(self, tmp_path, key):
+        from twolayer_opt import FormatError
+        path = tmp_path / "params.csv"
+        model.save_params(NetworkParams(np.eye(2), np.ones(2)), path, "sigmoid")
+        meta = {"n": 2, "d": 2, "activation": "sigmoid", key: None}
+        path.with_suffix(".meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=f"'{key}'"):
             model.load_params(path)

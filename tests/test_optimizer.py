@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import fitted_labels, random_instance
+from conftest import fitted_labels, random_instance, svd_extremes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolayer_opt import (ConfigError, NetworkParams, RunConfig,
-                          builtin_activation, inner_sgd, make_realizable,
-                          model, outer_step, prox_ball, run,
+                          builtin_activation, certify, inner_sgd,
+                          make_realizable, model, optimizer, outer_step,
+                          prox_ball, run,
                           solve_theta_star, stochastic_theta_grad)
 from twolayer_opt.diagnostics import lipschitz_ball_bound, lipschitz_estimates
 
@@ -250,6 +251,20 @@ class TestRun:
         np.testing.assert_array_equal(p1.theta, p2.theta)
         for col, vals in r1.columns().items():
             np.testing.assert_array_equal(vals, r2.columns()[col])
+
+    def test_wide_D_matches_svd_reference(self, monkeypatch):
+        ds = make_realizable(3, 30, seed=4)   # D is 9 x 30
+        cfg = RunConfig(n_outer=8, n_inner=5, sigma=0.2, seed=3)
+        p1, r1 = run(SIG, ds, cfg)
+
+        monkeypatch.setattr(optimizer, "column_sigma_extremes", svd_extremes)
+        p2, r2 = run(SIG, ds, cfg)
+        np.testing.assert_array_equal(p1.W, p2.W)
+        np.testing.assert_array_equal(p1.theta, p2.theta)
+        for col, vals in r1.columns().items():
+            np.testing.assert_array_equal(vals, r2.columns()[col])
+        assert np.all(r1.sigma_min_d == 0.0)
+        assert certify(p1, SIG, ds).verdict == "rank_deficient"
 
     def test_record_shape_and_finiteness(self):
         ds = make_realizable(3, 9, seed=4)
