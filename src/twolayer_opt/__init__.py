@@ -15,7 +15,6 @@ from .errors import (ConfigError, FormatError, IoError, NumericsError,
 from .model import (NetworkParams, StationaritySystem, forward, grad_theta,
                     grad_W, loss, residuals, stationarity_system)
 from .optimizer import (RunConfig, TrajectoryRecord, inner_sgd, outer_step,
-                        prox_ball, run, solve_theta_star,
-                        stochastic_theta_grad)
+                        prox_ball, run, solve_theta_star)
 
 __version__ = "0.1.0"

@@ -82,11 +82,14 @@ def read_trajectory_csv(path) -> dict:
 def _load_config_file(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -107,17 +110,24 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        def get(kind, key, default):
+            return model.json_field(kind, data.get(key, default),
+                                    f"config key {key!r}")
+
         spec = cls(
             name=data.get("name", "run"),
-            dataset=dict(data.get("dataset", {})),
+            dataset=get(dict, "dataset", {}),
             activation=data.get("activation", "sigmoid"),
-            run=dict(data.get("run", {})),
-            repetitions=int(data.get("repetitions", 1)),
+            run=get(dict, "run", {}),
+            repetitions=get(int, "repetitions", 1),
             out_dir=data.get("out_dir", "."),
-            suites=tuple(data.get("suites", ())),
+            suites=get(tuple, "suites", ()),
         )
         if spec.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {spec.repetitions}")
+        if not isinstance(spec.out_dir, str):
+            raise ConfigError("config key 'out_dir' must be a string, got "
+                              f"{json.dumps(spec.out_dir)}")
         path = spec.dataset.get("path")
         if path and not Path(path).exists():
             raise ConfigError(f"referenced dataset {path} does not exist")
@@ -190,7 +200,8 @@ def _run_config_from_args(args, spec: ExperimentSpec) -> RunConfig:
         run_cfg["theorem2_preset"] = True
     if args.early_exit:
         run_cfg["early_exit"] = True
-    init = dict(run_cfg.get("init", {}))
+    init = model.json_field(dict, run_cfg.get("init", {}),
+                            "run config key 'init'")
     if args.w_scale is not None:
         init["W_scale"] = args.w_scale
     if args.theta_scale is not None:

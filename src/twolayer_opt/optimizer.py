@@ -6,6 +6,12 @@ beta-weighted iterate averaging and optional early exit once the objective
 improves on the incoming theta), then takes a single full-gradient descent
 step on the hidden layer W.
 
+At fixed W the inner prox step is affine in theta up to the projection:
+with features H (N x n), G = H^T H / N and b = H^T v / N it is
+theta <- P_ball((I - beta G) theta + beta (b - xi_t)).  The phase computes
+H, G, b and all n_inner noise vectors xi_t once (one generator call), so a
+step costs O(n^2) and touches none of the N samples.
+
 Step-size policies:
   * beta: "constant_opt" uses beta = min(1/(2 L_theta), sqrt(1/(N_i sigma^2)))
     with the exact data-dependent L_theta; "fixed" must satisfy
@@ -31,8 +37,8 @@ from .activations import ActivationFunction
 from .diagnostics import (column_sigma_extremes, lipschitz_ball_bound,
                           lipschitz_estimates, theta_smoothness)
 from .errors import ConfigError, NumericsError, ShapeError
-from .model import (NetworkParams, _features, grad_W, loss, objective,
-                    stationarity_system, theta_gradient)
+from .model import (NetworkParams, _features, grad_W, json_field, loss,
+                    objective, stationarity_system, theta_gradient)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -100,23 +106,30 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        init = data.get("init", {})
-        try:
-            return cls(
-                n_outer=int(data["N_o"]), n_inner=int(data["N_i"]),
-                R=float(data.get("R", 4.0)), sigma=float(data.get("sigma", 0.0)),
-                beta_policy=data.get("beta_policy", "constant_opt"),
-                beta=None if data.get("beta") is None else float(data["beta"]),
-                gamma_policy=data.get("gamma_policy", "one_over_L"),
-                gamma=None if data.get("gamma") is None else float(data["gamma"]),
-                theorem2_preset=bool(data.get("theorem2_preset", False)),
-                early_exit=bool(data.get("early_exit", False)),
-                seed=int(data.get("seed", 0)),
-                init_w_scale=float(init.get("W_scale", 1.0)),
-                init_theta_scale=float(init.get("theta_scale", 1.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"run config is missing key {exc}") from None
+        """RunConfig from its to_dict form, as read from a JSON config; a
+        value of the wrong JSON type raises FormatError naming its key."""
+        for key in ("N_o", "N_i"):
+            if key not in data:
+                raise ConfigError(f"run config is missing key {key!r}")
+
+        def get(kind, key, default=None, section=data):
+            return json_field(kind, section.get(key, default),
+                              f"run config key {key!r}")
+
+        init = get(dict, "init", {})
+        return cls(
+            n_outer=get(int, "N_o"), n_inner=get(int, "N_i"),
+            R=get(float, "R", 4.0), sigma=get(float, "sigma", 0.0),
+            beta_policy=data.get("beta_policy", "constant_opt"),
+            beta=None if data.get("beta") is None else get(float, "beta"),
+            gamma_policy=data.get("gamma_policy", "one_over_L"),
+            gamma=None if data.get("gamma") is None else get(float, "gamma"),
+            theorem2_preset=bool(data.get("theorem2_preset", False)),
+            early_exit=bool(data.get("early_exit", False)),
+            seed=get(int, "seed", 0),
+            init_w_scale=get(float, "W_scale", 1.0, init),
+            init_theta_scale=get(float, "theta_scale", 1.0, init),
+        )
 
 
 @dataclass
@@ -159,6 +172,14 @@ class TrajectoryRecord:
         }
 
 
+def project_ball(z: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of z onto {x : ||x||_2 <= radius}."""
+    norm = math.sqrt(z.dot(z))   # np.linalg.norm's own arithmetic, less overhead
+    if norm <= radius:
+        return z
+    return z * (radius / norm)
+
+
 def prox_ball(x, y, radius: float) -> np.ndarray:
     """Prox-mapping P_x(y) over the origin-centred ball: the projection of
     x - y onto {z : ||z||_2 <= radius}."""
@@ -168,23 +189,18 @@ def prox_ball(x, y, radius: float) -> np.ndarray:
         raise ShapeError(f"x and y must be equal-length vectors, got {x.shape}, {y.shape}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    z = x - y
-    norm = math.sqrt(z.dot(z))   # np.linalg.norm's own arithmetic, less overhead
-    if norm <= radius:
-        return z
-    return z * (radius / norm)
+    return project_ball(x - y, radius)
 
 
-def stochastic_theta_grad(H: np.ndarray, v: np.ndarray, theta: np.ndarray,
-                          sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Exact theta-gradient on the fixed features H plus Gaussian noise with
-    E||xi||^2 = sigma^2 (coordinates i.i.d. N(0, sigma^2/n))."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    g = theta_gradient(H, v, theta)
+def phase_noise(rng: np.random.Generator, sigma: float, steps: int,
+                n: int) -> np.ndarray:
+    """Gradient noise of `steps` inner steps, one row xi_t per step, with
+    coordinates i.i.d. N(0, sigma^2/n) so that E||xi_t||^2 = sigma^2.  One
+    generator call, giving the values of `steps` successive draws of n; a
+    zero sigma draws nothing."""
     if sigma == 0.0:
-        return g
-    return g + rng.normal(0.0, sigma / math.sqrt(g.size), size=g.size)
+        return np.zeros((steps, n))
+    return rng.normal(0.0, sigma / math.sqrt(n), size=(steps, n))
 
 
 def _resolve_beta(cfg: RunConfig, l_theta: float, n_inner: int) -> float:
@@ -208,6 +224,11 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     first average that already improves on the incoming theta, when
     early_exit is on).  n_inner/sigma override the config (used by the
     theorem2 preset).
+
+    Step t is theta <- P_ball(M theta + C[t]) with M = I - beta G and
+    C[t] = beta (b - xi_t) (see the module docstring).  An early exit after
+    k steps rewinds rng and redraws k rows of phase_noise, leaving it where
+    k per-step draws would.
     """
     n_inner = cfg.n_inner if n_inner is None else n_inner
     sigma = cfg.sigma if sigma is None else sigma
@@ -222,22 +243,27 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     l_theta = theta_smoothness(H)
     beta = _resolve_beta(cfg, l_theta, n_inner)
 
+    n, N = p.n, len(v)
+    M = np.eye(n) - beta * (H.T @ H / N)
+    state = rng.bit_generator.state
+    C = beta * (H.T @ v / N - phase_noise(rng, sigma, n_inner, n))
+
     f_incoming = f_of(p.theta)
     theta_bar = p.theta
-    sum_w = 0.0
-    sum_wtheta = np.zeros_like(p.theta)
+    sum_theta = np.zeros(n)   # beta is constant: the weighted average is the mean
     steps = 0
     exited = False
-    for _ in range(n_inner):
-        g = stochastic_theta_grad(H, v, theta_bar, sigma, rng)
-        theta_bar = prox_ball(theta_bar, beta * g, radius)
-        sum_w += beta
-        sum_wtheta = sum_wtheta + beta * theta_bar
+    for c in C:
+        theta_bar = project_ball(M @ theta_bar + c, radius)
+        sum_theta += theta_bar
         steps += 1
-        if cfg.early_exit and f_of(sum_wtheta / sum_w) <= f_incoming:
+        if cfg.early_exit and f_of(sum_theta / steps) <= f_incoming:
             exited = True
             break
-    theta_avg = sum_wtheta / sum_w if steps else p.theta
+    if steps < n_inner:   # leave rng where step-by-step draws would
+        rng.bit_generator.state = state
+        phase_noise(rng, sigma, steps, n)
+    theta_avg = sum_theta / steps if steps else p.theta
     return theta_avg, InnerSummary(steps=steps, final_f=f_of(theta_avg),
                                    beta=beta, l_theta=l_theta,
                                    early_exit=exited)

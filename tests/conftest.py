@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from twolayer_opt import Dataset, NetworkParams, Provenance
+from twolayer_opt import Dataset, NetworkParams, Provenance, model, optimizer
+from twolayer_opt.diagnostics import theta_smoothness
 
 
 def rel_err(approx, exact):
@@ -20,6 +23,48 @@ def svd_extremes(M):
     svals = np.linalg.svd(M, compute_uv=False)
     return (float(svals[-1]) if M.shape[0] >= M.shape[1] else 0.0,
             float(svals[0]))
+
+
+def reference_inner_sgd(p, a, ds, cfg, rng, n_inner=None, sigma=None):
+    """Reference inner SGD phase, one step at a time on the N samples: the
+    exact theta-gradient on H plus a fresh N(0, sigma^2/n) draw of n
+    coordinates, a prox step onto the ball, and the beta-weighted running
+    average.  Returns inner_sgd's (theta_avg, InnerSummary) plus the
+    largest norm of a prox iterate."""
+    n_inner = cfg.n_inner if n_inner is None else n_inner
+    sigma = cfg.sigma if sigma is None else sigma
+    radius = cfg.R / 2.0
+    H = np.asarray(a.eval(np.asarray(ds.inputs) @ p.W.T), dtype=float)
+    v = np.asarray(ds.labels, dtype=float)
+
+    def f_of(theta):
+        return model.objective(v - H @ theta)
+
+    l_theta = theta_smoothness(H)
+    beta = optimizer._resolve_beta(cfg, l_theta, n_inner)
+    f_incoming = f_of(p.theta)
+    theta_bar = p.theta
+    sum_w = 0.0
+    sum_wtheta = np.zeros_like(p.theta)
+    steps = 0
+    exited = False
+    largest = 0.0
+    for _ in range(n_inner):
+        g = model.theta_gradient(H, v, theta_bar)
+        if sigma > 0.0:
+            g = g + rng.normal(0.0, sigma / math.sqrt(g.size), size=g.size)
+        theta_bar = optimizer.prox_ball(theta_bar, beta * g, radius)
+        largest = max(largest, float(np.linalg.norm(theta_bar)))
+        sum_w += beta
+        sum_wtheta = sum_wtheta + beta * theta_bar
+        steps += 1
+        if cfg.early_exit and f_of(sum_wtheta / sum_w) <= f_incoming:
+            exited = True
+            break
+    theta_avg = sum_wtheta / sum_w
+    return theta_avg, optimizer.InnerSummary(
+        steps=steps, final_f=f_of(theta_avg), beta=beta, l_theta=l_theta,
+        early_exit=exited), largest
 
 
 def random_instance(rng, d=None, n=None, N=None, square=False):

@@ -153,6 +153,27 @@ class TestTrain:
         m = json.loads((tmp_path / "b" / "cfg_rep0.manifest.json").read_text())
         assert m["config"]["seed"] == 9
 
+    @pytest.mark.parametrize("change, key", [
+        ({"repetitions": None}, "'repetitions'"),
+        ({"run": {"N_o": 2, "N_i": 2, "sigma": None}}, "'sigma'"),
+        ({"run": {"N_o": 2, "N_i": 2, "init": None}}, "'init'"),
+        ({"run": None}, "'run'"),
+        ({"dataset": None}, "'dataset'"),
+        ({"suites": None}, "'suites'"),
+        ({"out_dir": None}, "'out_dir'"),
+        (None, "JSON object"),
+    ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
+            "suites", "out_dir", "list"])
+    def test_config_wrong_json_type(self, tmp_path, capsys, change, key):
+        spec = {"dataset": {"d": 3, "N": 9},
+                "run": {"N_o": 2, "N_i": 2}, "repetitions": 1}
+        cfg = [spec] if change is None else {**spec, **change}
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("train", "--config", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
+
 
 class TestDiagnose:
     def test_report(self, tmp_path, capsys):

@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
-from conftest import fitted_labels, random_instance, svd_extremes
+from conftest import (fitted_labels, random_instance, reference_inner_sgd,
+                      svd_extremes)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolayer_opt import (ConfigError, NetworkParams, RunConfig,
                           builtin_activation, certify, inner_sgd,
                           make_realizable, model, optimizer, outer_step,
-                          prox_ball, run,
-                          solve_theta_star, stochastic_theta_grad)
+                          prox_ball, run, solve_theta_star)
 from twolayer_opt.diagnostics import lipschitz_ball_bound, lipschitz_estimates
+from twolayer_opt.optimizer import phase_noise
 
 SIG = builtin_activation("sigmoid")
 
@@ -63,35 +64,32 @@ class TestProxBall:
                 assert objective(out) <= objective(z) + 1e-12
 
 
-def _features(p, ds):
-    return np.asarray(SIG.eval(ds.inputs @ p.W.T), dtype=float)
-
-
-class TestStochasticThetaGrad:
+class TestPhaseNoise:
     def test_zero_noise_is_exact(self, rng):
         p, ds = random_instance(rng)
-        g = stochastic_theta_grad(_features(p, ds), ds.labels, p.theta, 0.0,
-                                  np.random.default_rng(0))
-        np.testing.assert_array_equal(g, model.grad_theta(p, SIG, ds))
+        noise_rng = np.random.default_rng(0)
+        before = noise_rng.bit_generator.state
+        np.testing.assert_array_equal(phase_noise(noise_rng, 0.0, 7, p.n),
+                                      np.zeros((7, p.n)))
+        cfg = RunConfig(n_outer=1, n_inner=7, sigma=0.0)
+        inner_sgd(p, SIG, ds, cfg, noise_rng)
+        assert noise_rng.bit_generator.state == before
 
     def test_seed_reproducibility(self, rng):
         p, ds = random_instance(rng)
-        H = _features(p, ds)
-        g1 = stochastic_theta_grad(H, ds.labels, p.theta, 0.5, np.random.default_rng(7))
-        g2 = stochastic_theta_grad(H, ds.labels, p.theta, 0.5, np.random.default_rng(7))
-        np.testing.assert_array_equal(g1, g2)
+        xi1 = phase_noise(np.random.default_rng(7), 0.5, 6, p.n)
+        xi2 = phase_noise(np.random.default_rng(7), 0.5, 6, p.n)
+        np.testing.assert_array_equal(xi1, xi2)
+        cfg = RunConfig(n_outer=1, n_inner=6, sigma=0.5)
+        t1, _ = inner_sgd(p, SIG, ds, cfg, np.random.default_rng(7))
+        t2, _ = inner_sgd(p, SIG, ds, cfg, np.random.default_rng(7))
+        np.testing.assert_array_equal(t1, t2)
 
-    def test_noise_second_moment(self, rng):
+    def test_noise_second_moment(self):
         # E ||xi||^2 = sigma^2 with coordinates N(0, sigma^2 / n)
-        p, ds = random_instance(rng, d=3, n=3, N=5)
         sigma = 0.7
-        H = _features(p, ds)
-        g0 = model.grad_theta(p, SIG, ds)
-        noise_rng = np.random.default_rng(123)
-        sq = [np.sum((stochastic_theta_grad(H, ds.labels, p.theta, sigma, noise_rng)
-                      - g0) ** 2)
-              for _ in range(100_000)]
-        assert np.mean(sq) == pytest.approx(sigma ** 2, rel=0.02)
+        xi = phase_noise(np.random.default_rng(123), sigma, 100_000, 3)
+        assert np.mean(np.sum(xi ** 2, axis=1)) == pytest.approx(sigma ** 2, rel=0.02)
 
 
 class TestInnerSgd:
@@ -135,6 +133,27 @@ class TestInnerSgd:
                         beta_policy="fixed", beta=1.0 / l_theta)  # > 1/(2L)
         with pytest.raises(ConfigError):
             inner_sgd(p, SIG, ds, cfg, np.random.default_rng(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 30), st.integers(1, 40),
+           st.sampled_from([0.0, 0.05, 0.7, 3.0]),
+           st.sampled_from([0.05, 1e6]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_step_reference(self, d, N, n_inner, sigma, R,
+                                        early_exit, seed):
+        # R = 0.05 keeps the projection active, R = 1e6 inactive
+        p, ds = random_instance(np.random.default_rng(seed), d=d, N=N)
+        cfg = RunConfig(n_outer=1, n_inner=n_inner, R=R, sigma=sigma,
+                        early_exit=early_exit)
+        rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
+        theta, summary = inner_sgd(p, SIG, ds, cfg, rng_new)
+        theta_ref, ref, largest = reference_inner_sgd(p, SIG, ds, cfg, rng_ref)
+        # relative to the iterates' scale: their average can cancel far below it
+        scale = max(np.linalg.norm(theta_ref), largest)
+        assert np.linalg.norm(theta - theta_ref) <= 1e-12 * scale
+        assert (summary.steps, summary.beta, summary.early_exit) == \
+            (ref.steps, ref.beta, ref.early_exit)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
     def test_early_exit_contract(self, rng):
         ds = make_realizable(3, 9, seed=31)
