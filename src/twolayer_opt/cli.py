@@ -14,13 +14,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset as ds_mod
-from . import diagnostics, model, optimizer
+from . import diagnostics, files, model, optimizer
 from .activations import ACTIVATION_NAMES, builtin_activation
 from .errors import ConfigError, FormatError, IoError, NumericsError
 from .optimizer import TRAJECTORY_COLUMNS, RunConfig, TrajectoryRecord
@@ -30,67 +30,20 @@ SUITES = ("gradcheck", "rank", "lipschitz", "theorem1", "theorem2", "certify")
 
 # ----------------------------------------------------------------- file io
 
-def _ensure_writable(paths, force: bool):
-    clashes = [str(p) for p in paths if Path(p).exists()]
-    if clashes and not force:
-        raise ConfigError(
-            f"refusing to overwrite existing output ({', '.join(clashes)}); "
-            "pass --force to allow")
-
-
 def write_trajectory_csv(path, record: TrajectoryRecord) -> None:
     cols = record.columns()
-    try:
-        with open(path, "w") as fh:
-            fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            for i in range(len(record)):
-                fields = []
-                for name in TRAJECTORY_COLUMNS:
-                    val = cols[name][i]
-                    fields.append(str(int(val)) if name in ("k", "inner_steps")
-                                  else "%.17g" % val)
-                fh.write(",".join(fields) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write trajectory to {path}: {exc}") from exc
+    files.write_table(path, zip(*(cols[name] for name in TRAJECTORY_COLUMNS)),
+                      header=TRAJECTORY_COLUMNS)
 
 
 def read_trajectory_csv(path) -> dict:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read trajectory from {path}: {exc}") from exc
-    if not lines or lines[0].split(",") != list(TRAJECTORY_COLUMNS):
-        raise FormatError(f"{path} does not look like a trajectory CSV", line=1)
-    data = {name: [] for name in TRAJECTORY_COLUMNS}
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(TRAJECTORY_COLUMNS):
-            raise FormatError(
-                f"expected {len(TRAJECTORY_COLUMNS)} columns, found {len(fields)}",
-                line=i)
-        try:
-            for name, tok in zip(TRAJECTORY_COLUMNS, fields):
-                data[name].append(float(tok))
-        except ValueError:
-            raise FormatError("non-numeric token", line=i) from None
-    return {name: np.array(vals) for name, vals in data.items()}
+    rows = files.read_table(path, len(TRAJECTORY_COLUMNS),
+                            header=TRAJECTORY_COLUMNS)
+    columns = np.array(rows).reshape(-1, len(TRAJECTORY_COLUMNS)).T
+    return dict(zip(TRAJECTORY_COLUMNS, columns))
 
 
 # ------------------------------------------------------------ spec loading
-
-def _load_config_file(path) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} is not a JSON object")
-    return cfg
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -111,7 +64,7 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         def get(kind, key, default):
-            return model.json_field(kind, data.get(key, default),
+            return files.json_field(kind, data.get(key, default),
                                     f"config key {key!r}")
 
         spec = cls(
@@ -120,14 +73,11 @@ class ExperimentSpec:
             activation=data.get("activation", "sigmoid"),
             run=get(dict, "run", {}),
             repetitions=get(int, "repetitions", 1),
-            out_dir=data.get("out_dir", "."),
+            out_dir=get(str, "out_dir", "."),
             suites=get(tuple, "suites", ()),
         )
         if spec.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {spec.repetitions}")
-        if not isinstance(spec.out_dir, str):
-            raise ConfigError("config key 'out_dir' must be a string, got "
-                              f"{json.dumps(spec.out_dir)}")
         path = spec.dataset.get("path")
         if path and not Path(path).exists():
             raise ConfigError(f"referenced dataset {path} does not exist")
@@ -138,7 +88,9 @@ class ExperimentSpec:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    cfg = _load_config_file(args.config) if args.config else {}
+    cfg = files.read_json(args.config) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {args.config} is not a JSON object")
     return ExperimentSpec.from_dict(cfg)
 
 
@@ -156,7 +108,7 @@ def _dataset_recipe(args, spec: ExperimentSpec, data_seed) -> dict:
         return flag if flag is not None else recipe.get(key, default)
 
     def number(kind, value, key):
-        return model.json_field(kind, value, f"dataset recipe key {key!r}")
+        return files.json_field(kind, value, f"dataset recipe key {key!r}")
 
     d, N = pick(args.d, "d"), pick(args.n_samples, "N")
     if d is None or N is None:
@@ -200,7 +152,7 @@ def _run_config_from_args(args, spec: ExperimentSpec) -> RunConfig:
         run_cfg["theorem2_preset"] = True
     if args.early_exit:
         run_cfg["early_exit"] = True
-    init = model.json_field(dict, run_cfg.get("init", {}),
+    init = files.json_field(dict, run_cfg.get("init", {}),
                             "run config key 'init'")
     if args.w_scale is not None:
         init["W_scale"] = args.w_scale
@@ -226,23 +178,20 @@ def cmd_generate(args) -> int:
               "certificate needs the number of samples to stay below the "
               "number of parameters (N <= n*d)", file=sys.stderr)
     ds = ds_mod.make_realizable(activation=_activation_name(args, spec), **recipe)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{args.name}.csv"
-    _ensure_writable([path, path.with_suffix(".meta.json")], args.force)
+    name = f"{args.name}.csv"
+    path, meta_path = files.output_paths(
+        args.out, [name, files.sidecar(name)], args.force)
     ds_mod.save(ds, path)
-    print(f"wrote {path} and {path.with_suffix('.meta.json')} "
-          f"(d={d}, N={N}, dist={dist})")
+    print(f"wrote {path} and {meta_path} (d={d}, N={N}, dist={dist})")
     return 0
 
 
-def _train_one(name, rep, base_seed, activation, ds, cfg, out_dir):
-    repcfg = RunConfig.from_dict({**cfg.to_dict(), "seed": base_seed + rep})
+def _train_one(name, rep, activation, ds, cfg, traj_path, manifest_path):
+    repcfg = replace(cfg, seed=cfg.seed + rep)
     act = builtin_activation(activation)
     t0 = time.perf_counter()
     params, record = optimizer.run(act, ds, repcfg)
     wall = time.perf_counter() - t0
-    traj_path = out_dir / f"{name}_rep{rep}.trajectory.csv"
     write_trajectory_csv(traj_path, record)
     manifest = {
         "name": name, "rep": rep, "activation": activation,
@@ -252,9 +201,7 @@ def _train_one(name, rep, base_seed, activation, ds, cfg, out_dir):
         "min_grad_norm": float(record.grad_norm.min()),
         "min_sigma_min_D": float(record.sigma_min_d.min()),
     }
-    with open(out_dir / f"{name}_rep{rep}.manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    files.write_json(manifest_path, manifest)
     return manifest
 
 
@@ -267,16 +214,14 @@ def cmd_train(args) -> int:
     activation = _activation_name(args, spec)
     ds, ds_desc = _dataset_from_args(args, spec, activation)
     cfg = _run_config_from_args(args, spec)
-    out_dir = Path(args.out or spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for rep in range(reps):
-        outputs += [out_dir / f"{name}_rep{rep}.trajectory.csv",
-                    out_dir / f"{name}_rep{rep}.manifest.json"]
-    _ensure_writable(outputs, args.force)
+    outputs = files.output_paths(
+        args.out or spec.out_dir,
+        [f"{name}_rep{rep}.{kind}" for rep in range(reps)
+         for kind in ("trajectory.csv", "manifest.json")], args.force)
 
-    manifests = [_train_one(name, rep, cfg.seed, activation, ds, cfg, out_dir)
-                 for rep in range(reps)]
+    manifests = [_train_one(name, rep, activation, ds, cfg, traj_path, manifest_path)
+                 for rep, (traj_path, manifest_path)
+                 in enumerate(zip(outputs[::2], outputs[1::2]))]
 
     print(f"# {name}: {reps} repetition(s), dataset {ds_desc}")
     print(f"{'rep':>4} {'final_f':>14} {'min_grad_norm':>14} {'min_sigma_min_D':>16}")
@@ -330,13 +275,9 @@ def cmd_diagnose(args) -> int:
     print(f"{'verdict':<28} {cert.verdict}")
 
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{args.name or 'diagnose'}.json"
-        _ensure_writable([path], args.force)
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        (path,) = files.output_paths(
+            args.out, [f"{args.name or 'diagnose'}.json"], args.force)
+        files.write_json(path, report)
         print(f"wrote {path}")
     return 0
 
@@ -526,13 +467,9 @@ def cmd_verify(args) -> int:
                "checks": checks, "pass": all(c["pass"] for c in checks)}
     print(json.dumps(verdict, indent=2))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"verify_{args.suite}.json"
-        _ensure_writable([path], args.force)
-        with open(path, "w") as fh:
-            json.dump(verdict, fh, indent=2)
-            fh.write("\n")
+        (path,) = files.output_paths(
+            args.out, [f"verify_{args.suite}.json"], args.force)
+        files.write_json(path, verdict)
     return 0 if verdict["pass"] else 1
 
 
@@ -551,19 +488,16 @@ def cmd_plotdata(args) -> int:
     metrics = [c for c in TRAJECTORY_COLUMNS if c != "k"]
 
     out_dir = Path(args.out) if args.out else run_dir / "plotdata"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [out_dir / f"{m}.dat" for m in metrics] + [out_dir / "combined.csv"]
-    _ensure_writable(outputs, args.force)
+    *dat_paths, combined_path = files.output_paths(
+        out_dir, [f"{m}.dat" for m in metrics] + ["combined.csv"], args.force)
 
     multi = len(runs) > 1
     combined_header = ["k"]
     combined_cols = [k]
-    for m in metrics:
+    for m, dat_path in zip(metrics, dat_paths):
         stacked = np.vstack([r[m] for r in runs])
         series = stacked.mean(axis=0) if multi else stacked[0]
-        with open(out_dir / f"{m}.dat", "w") as fh:
-            for ki, vi in zip(k, series):
-                fh.write("%d %.17g\n" % (int(ki), vi))
+        files.write_table(dat_path, zip(k, series), sep=" ")
         if multi:
             combined_header += [f"{m}_mean", f"{m}_min", f"{m}_max"]
             combined_cols += [stacked.mean(axis=0), stacked.min(axis=0),
@@ -571,10 +505,7 @@ def cmd_plotdata(args) -> int:
         else:
             combined_header.append(m)
             combined_cols.append(series)
-    with open(out_dir / "combined.csv", "w") as fh:
-        fh.write(",".join(combined_header) + "\n")
-        for i in range(len(k)):
-            fh.write(",".join("%.17g" % col[i] for col in combined_cols) + "\n")
+    files.write_table(combined_path, zip(*combined_cols), header=combined_header)
     print(f"wrote {len(metrics)} metric files and combined.csv to {out_dir} "
           f"({len(runs)} repetition(s))")
     return 0

@@ -5,23 +5,21 @@ Inputs u_i are drawn i.i.d. from a continuous distribution (uniform on
 network so that the global optimum of the training loss is exactly zero
 (plus optional Gaussian label noise for non-realizable instances).
 
-On-disk format: one CSV row per sample (d input columns then the label,
-printed with %.17g so round-trips are bit-exact) and a JSON sidecar
+On-disk format (see the files module): one CSV row per sample, d input
+columns then the label, bit-exact through a round trip, and a JSON sidecar
 <name>.meta.json holding provenance.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import model
+from . import files, model
 from .activations import builtin_activation
-from .errors import FormatError, IoError, NumericsError, ShapeError
+from .errors import NumericsError, ShapeError
 from .model import NetworkParams
 
 DISTRIBUTIONS = ("uniform_cube", "std_gaussian")
@@ -139,7 +137,6 @@ def make_realizable(d: int, N: int, dist: str = "uniform_cube", seed: int = 0,
 
 def save(ds: Dataset, path) -> None:
     """Write the CSV plus the .meta.json provenance sidecar."""
-    path = Path(path)
     meta = {
         "d": ds.dim,
         "N": ds.n_samples,
@@ -148,37 +145,16 @@ def save(ds: Dataset, path) -> None:
     }
     if ds.provenance.teacher is not None:
         meta["teacher"] = ds.provenance.teacher
-    try:
-        with open(path, "w") as fh:
-            for u, v in zip(ds.inputs, ds.labels):
-                fh.write(",".join("%.17g" % x for x in u) + ",%.17g\n" % v)
-        with open(path.with_suffix(".meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write dataset to {path}: {exc}") from exc
+    files.write_table(path, np.column_stack([ds.inputs, ds.labels]))
+    files.write_json(files.sidecar(path), meta)
 
 
 def load(path) -> Dataset:
     """Inverse of save (bit-exact on all numeric fields)."""
-    meta, lines = model.read_with_sidecar(path, "dataset", {"d": int, "N": int})
+    meta = files.read_sidecar(path, {"d": int, "N": int})
     d = meta["d"]
-    inputs, labels = [], []
-    for i, line in enumerate(lines, start=1):
-        fields = line.split(",")
-        if len(fields) != d + 1:
-            raise FormatError(
-                f"expected {d + 1} columns, found {len(fields)}", line=i)
-        try:
-            values = [float(tok) for tok in fields]
-        except ValueError:
-            raise FormatError("non-numeric token", line=i) from None
-        inputs.append(values[:d])
-        labels.append(values[d])
-    if len(labels) != meta["N"]:
-        raise FormatError(
-            f"sidecar promises N={meta['N']} rows, found {len(labels)}",
-            line=len(lines))
+    rows = files.read_table(path, d + 1, rows=meta["N"])
     prov = Provenance(meta.get("distribution", "unknown"), meta.get("seed"),
                       meta.get("teacher"))
-    return Dataset(np.array(inputs, dtype=float), np.array(labels, dtype=float), prov)
+    return Dataset(np.array([r[:d] for r in rows], dtype=float),
+                   np.array([r[d] for r in rows], dtype=float), prov)

@@ -17,15 +17,14 @@ belongs to hidden row j.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import files
 from .activations import ActivationFunction
-from .errors import FormatError, IoError, NumericsError, ShapeError
+from .errors import FormatError, NumericsError, ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -158,71 +157,18 @@ def fd_gradients(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
             fd_array(p.theta, lambda t: NetworkParams(p.W, t)))
 
 
-def json_field(kind, value, what: str):
-    """kind(value) for a value read from a JSON file; a value kind cannot
-    convert (a null where a number belongs, say) raises FormatError naming
-    what."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(
-            f"{what} must be {kind.__name__}, got {json.dumps(value)}") from None
-
-
-def read_with_sidecar(path, what: str, keys: dict) -> tuple:
-    """(sidecar dict, CSV lines) for the CSV at path and its .meta.json
-    sidecar.  keys maps each required sidecar key to its type, and the
-    returned dict holds those keys converted to it; a sidecar that is not a
-    JSON object, lacks a key or holds a value of the wrong kind raises
-    FormatError."""
-    path = Path(path)
-    meta_path = path.with_suffix(".meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"sidecar {meta_path} is not a JSON object")
-    for key, kind in keys.items():
-        if key not in meta:
-            raise FormatError(f"sidecar {meta_path} lacks key {key!r}")
-        meta[key] = json_field(kind, meta[key], f"sidecar {meta_path} key {key!r}")
-    return meta, lines
-
-
 def save_params(p: NetworkParams, path, activation: str) -> None:
     """Write W rows then theta as the final row, plus a JSON shape sidecar."""
-    path = Path(path)
-    try:
-        with open(path, "w") as fh:
-            for row in p.W:
-                fh.write(",".join("%.17g" % x for x in row) + "\n")
-            fh.write(",".join("%.17g" % x for x in p.theta) + "\n")
-        with open(path.with_suffix(".meta.json"), "w") as fh:
-            json.dump({"n": p.n, "d": p.d, "activation": activation}, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write parameters to {path}: {exc}") from exc
+    files.write_table(path, [*p.W, p.theta])
+    files.write_json(files.sidecar(path),
+                     {"n": p.n, "d": p.d, "activation": activation})
 
 
 def load_params(path):
     """Inverse of save_params; returns (NetworkParams, activation name)."""
-    meta, lines = read_with_sidecar(path, "parameters",
-                                    {"n": int, "d": int, "activation": str})
+    meta = files.read_sidecar(path, {"n": int, "d": int, "activation": str})
     n, d = meta["n"], meta["d"]
-    if len(lines) != n + 1:
-        raise FormatError(f"expected {n + 1} rows, found {len(lines)}", line=len(lines))
-    rows = []
-    for i, line in enumerate(lines, start=1):
-        fields = line.split(",")
-        want = d if i <= n else n
-        if len(fields) != want:
-            raise FormatError(f"expected {want} columns, found {len(fields)}", line=i)
-        try:
-            rows.append([float(tok) for tok in fields])
-        except ValueError:
-            raise FormatError("non-numeric token", line=i) from None
+    if n < 1:
+        raise FormatError(f"sidecar promises n={n} hidden units, need n >= 1")
+    rows = files.read_table(path, lambda i: d if i < n else n, rows=n + 1)
     return NetworkParams(np.array(rows[:n]), np.array(rows[n])), meta["activation"]

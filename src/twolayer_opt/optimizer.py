@@ -19,7 +19,9 @@ Step-size policies:
   * gamma: "one_over_L" uses 1/L with L the W-smoothness bound evaluated at
     the worst case over the feasible ball (constant across iterations);
     "fixed" must satisfy 0 < gamma < 2/L.
-  * theorem2_preset derives N_i = N_o, sigma = 1/sqrt(N_i), gamma = 1/L.
+  * theorem2_preset derives N_i = N_o, sigma = 1/sqrt(N_i), gamma = 1/L,
+    and beta from that N_i and sigma.
+  A beta or gamma given without its "fixed" policy is rejected.
 
 Runs are bit-reproducible from (config, dataset): all randomness flows from
 one seeded generator, drawn in a fixed order.
@@ -37,8 +39,9 @@ from .activations import ActivationFunction
 from .diagnostics import (column_sigma_extremes, lipschitz_ball_bound,
                           lipschitz_estimates, theta_smoothness)
 from .errors import ConfigError, NumericsError, ShapeError
-from .model import (NetworkParams, _features, grad_W, json_field, loss,
-                    objective, stationarity_system, theta_gradient)
+from .files import json_field
+from .model import (NetworkParams, _features, grad_W, loss, objective,
+                    stationarity_system, theta_gradient)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -87,8 +90,15 @@ class RunConfig:
             raise ConfigError("fixed beta policy needs beta > 0")
         if self.gamma_policy == "fixed" and (self.gamma is None or self.gamma <= 0):
             raise ConfigError("fixed gamma policy needs gamma > 0")
+        # a step size the policy would not use is an error, not a no-op
+        if self.beta_policy != "fixed" and self.beta is not None:
+            raise ConfigError(f"beta={self.beta} needs the fixed beta policy")
+        if self.gamma_policy != "fixed" and self.gamma is not None:
+            raise ConfigError(f"gamma={self.gamma} needs the fixed gamma policy")
         if self.theorem2_preset and self.beta_policy != "constant_opt":
             raise ConfigError("theorem2_preset requires the constant_opt beta policy")
+        if self.theorem2_preset and self.gamma_policy != "one_over_L":
+            raise ConfigError("theorem2_preset requires the one_over_L gamma policy")
         if self.theorem2_preset and self.n_outer < 1:
             raise ConfigError("theorem2_preset needs n_outer >= 1")
 
@@ -124,8 +134,8 @@ class RunConfig:
             beta=None if data.get("beta") is None else get(float, "beta"),
             gamma_policy=data.get("gamma_policy", "one_over_L"),
             gamma=None if data.get("gamma") is None else get(float, "gamma"),
-            theorem2_preset=bool(data.get("theorem2_preset", False)),
-            early_exit=bool(data.get("early_exit", False)),
+            theorem2_preset=get(bool, "theorem2_preset", False),
+            early_exit=get(bool, "early_exit", False),
             seed=get(int, "seed", 0),
             init_w_scale=get(float, "W_scale", 1.0, init),
             init_theta_scale=get(float, "theta_scale", 1.0, init),
@@ -203,35 +213,33 @@ def phase_noise(rng: np.random.Generator, sigma: float, steps: int,
     return rng.normal(0.0, sigma / math.sqrt(n), size=(steps, n))
 
 
-def _resolve_beta(cfg: RunConfig, l_theta: float, n_inner: int) -> float:
+def _resolve_beta(cfg: RunConfig, l_theta: float) -> float:
     cap = np.inf if l_theta == 0.0 else 1.0 / (2.0 * l_theta)
     if cfg.beta_policy == "fixed":
         if cfg.beta > cap:
             raise ConfigError(
                 f"beta={cfg.beta} violates the step bound 1/(2 L_theta)={cap}")
         return cfg.beta
-    noise_cap = np.inf if cfg.sigma == 0.0 else 1.0 / np.sqrt(n_inner * cfg.sigma ** 2)
+    noise_cap = (np.inf if cfg.sigma == 0.0
+                 else 1.0 / np.sqrt(cfg.n_inner * cfg.sigma ** 2))
     beta = min(cap, noise_cap)
     return 1.0 if not np.isfinite(beta) else beta  # zero-gradient degenerate case
 
 
 def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
-              cfg: RunConfig, rng: np.random.Generator,
-              n_inner: Optional[int] = None, sigma: Optional[float] = None):
+              cfg: RunConfig, rng: np.random.Generator):
     """Inner stochastic phase at fixed W; returns (theta_new, InnerSummary).
 
     theta_new is the beta-weighted average of the prox iterates (or the
     first average that already improves on the incoming theta, when
-    early_exit is on).  n_inner/sigma override the config (used by the
-    theorem2 preset).
+    early_exit is on).
 
     Step t is theta <- P_ball(M theta + C[t]) with M = I - beta G and
     C[t] = beta (b - xi_t) (see the module docstring).  An early exit after
     k steps rewinds rng and redraws k rows of phase_noise, leaving it where
     k per-step draws would.
     """
-    n_inner = cfg.n_inner if n_inner is None else n_inner
-    sigma = cfg.sigma if sigma is None else sigma
+    n_inner, sigma = cfg.n_inner, cfg.sigma
     radius = cfg.R / 2.0
 
     _, _, H = _features(a, p.W, ds.inputs)   # fixed during the phase
@@ -241,7 +249,7 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
         return objective(v - H @ theta)
 
     l_theta = theta_smoothness(H)
-    beta = _resolve_beta(cfg, l_theta, n_inner)
+    beta = _resolve_beta(cfg, l_theta)
 
     n, N = p.n, len(v)
     M = np.eye(n) - beta * (H.T @ H / N)
@@ -331,14 +339,11 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
 
     n_outer = cfg.n_outer
-    if cfg.theorem2_preset:
-        n_inner = n_outer
-        sigma = 1.0 / np.sqrt(n_inner)
-    else:
-        n_inner, sigma = cfg.n_inner, cfg.sigma
+    if cfg.theorem2_preset:   # the inner phases' N_i and sigma
+        cfg = replace(cfg, n_inner=n_outer, sigma=1.0 / np.sqrt(n_outer))
 
     L_ball = lipschitz_ball_bound(a, ds, cfg.R)
-    if cfg.theorem2_preset or cfg.gamma_policy == "one_over_L":
+    if cfg.gamma_policy == "one_over_L":
         gamma = 1.0 if L_ball == 0.0 else 1.0 / L_ball
     else:
         gamma = cfg.gamma
@@ -367,8 +372,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
         return g
 
     for k in range(n_outer):
-        theta, summary = inner_sgd(params, a, ds, cfg, rng,
-                                   n_inner=n_inner, sigma=sigma)
+        theta, summary = inner_sgd(params, a, ds, cfg, rng)
         params = replace(params, theta=theta)
         g = record(k, params, summary.steps, summary.final_f)
         params = outer_step(params, a, ds, gamma, L_ball, grad=g)
@@ -378,7 +382,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
     trajectory = TrajectoryRecord(
         *(np.array(column) for column in zip(*rows)),
         derived={
-            "n_outer": n_outer, "n_inner": n_inner, "sigma": sigma,
+            "n_outer": n_outer, "n_inner": cfg.n_inner, "sigma": cfg.sigma,
             "gamma": gamma, "L_ball": L_ball, "R": cfg.R,
             "f_init": f_init, "seed": cfg.seed,
         },

@@ -25,14 +25,13 @@ def svd_extremes(M):
             float(svals[0]))
 
 
-def reference_inner_sgd(p, a, ds, cfg, rng, n_inner=None, sigma=None):
+def reference_inner_sgd(p, a, ds, cfg, rng):
     """Reference inner SGD phase, one step at a time on the N samples: the
     exact theta-gradient on H plus a fresh N(0, sigma^2/n) draw of n
     coordinates, a prox step onto the ball, and the beta-weighted running
     average.  Returns inner_sgd's (theta_avg, InnerSummary) plus the
     largest norm of a prox iterate."""
-    n_inner = cfg.n_inner if n_inner is None else n_inner
-    sigma = cfg.sigma if sigma is None else sigma
+    n_inner, sigma = cfg.n_inner, cfg.sigma
     radius = cfg.R / 2.0
     H = np.asarray(a.eval(np.asarray(ds.inputs) @ p.W.T), dtype=float)
     v = np.asarray(ds.labels, dtype=float)
@@ -41,7 +40,7 @@ def reference_inner_sgd(p, a, ds, cfg, rng, n_inner=None, sigma=None):
         return model.objective(v - H @ theta)
 
     l_theta = theta_smoothness(H)
-    beta = optimizer._resolve_beta(cfg, l_theta, n_inner)
+    beta = optimizer._resolve_beta(cfg, l_theta)
     f_incoming = f_of(p.theta)
     theta_bar = p.theta
     sum_w = 0.0

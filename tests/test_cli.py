@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from twolayer_opt import builtin_activation, dataset, model
+from twolayer_opt import FormatError, builtin_activation, dataset, model
 from twolayer_opt.cli import main, read_trajectory_csv
 
 
@@ -162,8 +162,13 @@ class TestTrain:
         ({"suites": None}, "'suites'"),
         ({"out_dir": None}, "'out_dir'"),
         (None, "JSON object"),
+        ({"run": {"N_o": 2, "N_i": 2, "early_exit": "false"}}, "'early_exit'"),
+        ({"run": {"N_o": 2, "N_i": 2, "theorem2_preset": "no"}},
+         "'theorem2_preset'"),
+        ({"run": {"N_o": 2, "N_i": 2, "early_exit": 0}}, "'early_exit'"),
     ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
-            "suites", "out_dir", "list"])
+            "suites", "out_dir", "list", "run.early_exit", "run.theorem2_preset",
+            "run.early_exit_number"])
     def test_config_wrong_json_type(self, tmp_path, capsys, change, key):
         spec = {"dataset": {"d": 3, "N": 9},
                 "run": {"N_o": 2, "N_i": 2}, "repetitions": 1}
@@ -256,6 +261,21 @@ class TestPlotdata:
         fdat = (runs / "plotdata" / "f.dat").read_text().splitlines()
         assert len(fdat) == 7  # n_outer + 1 rows
 
+    @pytest.mark.parametrize("edit", ["extra_column", "non_numeric"])
+    def test_trajectory_format_error_line(self, tmp_path, edit):
+        path = self._train(tmp_path, reps=1) / "r_rep0.trajectory.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        if edit == "extra_column":
+            fields.append("0.5")
+        else:
+            fields[1] = "abc"
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            read_trajectory_csv(path)
+        assert err.value.line == 4
+
     def test_missing_dir_is_io_error(self, tmp_path):
         assert run_cli("plotdata", "--run-dir", str(tmp_path / "missing")) == 2
 
@@ -273,3 +293,27 @@ class TestPlotdata:
         col = header.index("f_mean")
         got = np.array([float(line.split(",")[col]) for line in lines[1:]])
         np.testing.assert_allclose(got, stacked.mean(axis=0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "diagnose", "verify",
+                                     "plotdata"])
+def test_out_naming_a_file(tmp_path, capsys, command):
+    run_cli("generate", "--d", "3", "--n-samples", "9",
+            "--out", str(tmp_path), "--name", "demo")
+    data = str(tmp_path / "demo.csv")
+    run_cli("train", "--data", data, "--out", str(tmp_path / "runs"),
+            "--n-outer", "2", "--n-inner", "2")
+    argv = {
+        "generate": ["generate", "--d", "2", "--n-samples", "4"],
+        "train": ["train", "--data", data, "--n-outer", "2", "--n-inner", "2"],
+        "diagnose": ["diagnose", "--data", data],
+        "verify": ["verify", "gradcheck", "--instances", "1"],
+        "plotdata": ["plotdata", "--run-dir", str(tmp_path / "runs")],
+    }[command]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(blocker)) == 2
+    err = capsys.readouterr().err
+    assert str(blocker) in err and err.count("\n") == 1
+    assert blocker.read_text() == "keep"

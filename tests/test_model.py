@@ -209,3 +209,12 @@ class TestParamsPersistence:
         path.with_suffix(".meta.json").write_text(json.dumps(meta))
         with pytest.raises(FormatError, match=f"'{key}'"):
             model.load_params(path)
+
+    def test_sidecar_no_hidden_units(self, tmp_path):
+        from twolayer_opt import FormatError
+        path = tmp_path / "params.csv"
+        path.write_text("")
+        path.with_suffix(".meta.json").write_text(
+            '{"n": -1, "d": 2, "activation": "sigmoid"}')
+        with pytest.raises(FormatError, match="n=-1"):
+            model.load_params(path)

@@ -240,6 +240,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(n_outer=1, n_inner=1, theorem2_preset=True,
                       beta_policy="fixed", beta=0.1)
+        # a step size its policy would not use
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"N_o": 3, "N_i": 2, "gamma": 1e9, "beta": 1e9})
+        with pytest.raises(ConfigError):
+            RunConfig(n_outer=1, n_inner=1, beta=0.1)
+        with pytest.raises(ConfigError):
+            RunConfig(n_outer=1, n_inner=1, theorem2_preset=True,
+                      gamma_policy="fixed", gamma=0.1)
 
     def test_dict_round_trip(self):
         cfg = RunConfig(n_outer=5, n_inner=7, R=2.0, sigma=0.3,
@@ -306,6 +314,22 @@ class TestRun:
         assert rec.derived["n_inner"] == 10
         assert rec.derived["sigma"] == pytest.approx(1.0 / np.sqrt(10))
         assert rec.derived["gamma"] == pytest.approx(1.0 / rec.derived["L_ball"])
+
+    def test_theorem2_preset_equals_explicit_spelling(self):
+        # features of a large gaussian-activated W are near 0, so
+        # 1/(2 L_theta) > 1 and beta is the phase's noise cap
+        # 1/sqrt(N_i sigma^2) = 1
+        gauss = builtin_activation("gaussian")
+        ds = make_realizable(3, 9, seed=4, activation="gaussian")
+        n_o = 12
+        common = dict(n_outer=n_o, seed=2, init_w_scale=10.0)
+        p1, r1 = run(gauss, ds, RunConfig(n_inner=1, theorem2_preset=True, **common))
+        p2, r2 = run(gauss, ds, RunConfig(n_inner=n_o, sigma=1.0 / np.sqrt(n_o),
+                                          **common))
+        np.testing.assert_array_equal(p1.W, p2.W)
+        np.testing.assert_array_equal(p1.theta, p2.theta)
+        for col, vals in r1.columns().items():
+            np.testing.assert_array_equal(vals, r2.columns()[col])
 
     def test_bad_fixed_gamma(self):
         ds = make_realizable(3, 9, seed=4)
