@@ -5,7 +5,8 @@ Run:  python scripts/verify_all.py [--activation NAME] [--seeds N]
 
 import sys
 
-from twolayer_opt.cli import SUITES, main
+from twolayer_opt.cli import main
+from twolayer_opt.verify import SUITES
 
 
 def run_all(extra) -> int:

@@ -24,8 +24,10 @@ from . import diagnostics, files, model, optimizer
 from .activations import ACTIVATION_NAMES, builtin_activation
 from .errors import ConfigError, FormatError, IoError, NumericsError
 from .optimizer import TRAJECTORY_COLUMNS, RunConfig, TrajectoryRecord
-
-SUITES = ("gradcheck", "rank", "lipschitz", "theorem1", "theorem2", "certify")
+# cmd_verify calls each suite through these module globals, so wrapping
+# cli.suite_<name> reaches the call
+from .verify import (SUITES, suite_certify, suite_gradcheck, suite_lipschitz,
+                     suite_rank, suite_theorem1, suite_theorem2)
 
 
 # ----------------------------------------------------------------- file io
@@ -59,7 +61,6 @@ class ExperimentSpec:
     run: dict = field(default_factory=dict)
     repetitions: int = 1
     out_dir: str = "."
-    suites: tuple = ()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -68,22 +69,19 @@ class ExperimentSpec:
                                     f"config key {key!r}")
 
         spec = cls(
-            name=data.get("name", "run"),
+            name=get(str, "name", "run"),
             dataset=get(dict, "dataset", {}),
-            activation=data.get("activation", "sigmoid"),
+            activation=get(str, "activation", "sigmoid"),
             run=get(dict, "run", {}),
             repetitions=get(int, "repetitions", 1),
             out_dir=get(str, "out_dir", "."),
-            suites=get(tuple, "suites", ()),
         )
         if spec.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {spec.repetitions}")
-        path = spec.dataset.get("path")
+        path = files.json_field(str, spec.dataset.get("path", ""),
+                                "config key 'dataset.path'")
         if path and not Path(path).exists():
             raise ConfigError(f"referenced dataset {path} does not exist")
-        for suite in spec.suites:
-            if suite not in SUITES:
-                raise ConfigError(f"unknown suite {suite!r} in config")
         return spec
 
 
@@ -92,10 +90,6 @@ def _load_spec(args) -> ExperimentSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {args.config} is not a JSON object")
     return ExperimentSpec.from_dict(cfg)
-
-
-def _activation_name(args, spec: ExperimentSpec) -> str:
-    return args.activation or spec.activation
 
 
 def _dataset_recipe(args, spec: ExperimentSpec, data_seed) -> dict:
@@ -177,7 +171,7 @@ def cmd_generate(args) -> int:
         print(f"warning: N={N} exceeds d^2={d * d}; the full-column-rank "
               "certificate needs the number of samples to stay below the "
               "number of parameters (N <= n*d)", file=sys.stderr)
-    ds = ds_mod.make_realizable(activation=_activation_name(args, spec), **recipe)
+    ds = ds_mod.make_realizable(activation=args.activation or spec.activation, **recipe)
     name = f"{args.name}.csv"
     path, meta_path = files.output_paths(
         args.out, [name, files.sidecar(name)], args.force)
@@ -211,7 +205,7 @@ def cmd_train(args) -> int:
     reps = args.reps if args.reps is not None else spec.repetitions
     if reps < 1:
         raise ConfigError(f"repetitions must be >= 1, got {reps}")
-    activation = _activation_name(args, spec)
+    activation = args.activation or spec.activation
     ds, ds_desc = _dataset_from_args(args, spec, activation)
     cfg = _run_config_from_args(args, spec)
     outputs = files.output_paths(
@@ -237,7 +231,7 @@ def cmd_diagnose(args) -> int:
     if not data:
         raise ConfigError("diagnose needs --data")
     ds = ds_mod.load(data)
-    act = builtin_activation(_activation_name(args, spec))
+    act = builtin_activation(args.activation or spec.activation)
     if args.params:
         params, _ = model.load_params(args.params)
     else:
@@ -245,6 +239,9 @@ def cmd_diagnose(args) -> int:
         d = ds.dim
         params = model.NetworkParams(
             rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)), rng.normal(size=d))
+    if args.out:
+        (out_path,) = files.output_paths(
+            args.out, [f"{args.name or 'diagnose'}.json"], args.force)
 
     w_rank = diagnostics.svd_rank(params.W, args.rank_tol)
     coll = diagnostics.collection_rank(act, params.W, ds.inputs, args.rank_tol)
@@ -275,201 +272,34 @@ def cmd_diagnose(args) -> int:
     print(f"{'verdict':<28} {cert.verdict}")
 
     if args.out:
-        (path,) = files.output_paths(
-            args.out, [f"{args.name or 'diagnose'}.json"], args.force)
-        files.write_json(path, report)
-        print(f"wrote {path}")
+        files.write_json(out_path, report)
+        print(f"wrote {out_path}")
     return 0
 
 
 # -------------------------------------------------------- verify suites
 
-def _check(name, measured, threshold, comparison, ok):
-    return {"check": name, "measured": measured, "threshold": threshold,
-            "comparison": comparison, "pass": bool(ok)}
-
-
-def suite_gradcheck(activation: str, seed: int = 0, instances: int = 5) -> list:
-    act = builtin_activation(activation)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        d = int(rng.integers(2, 6))
-        n = int(rng.integers(1, d + 1))
-        N = int(rng.integers(2, 26))
-        params = model.NetworkParams(rng.normal(size=(n, d)), rng.normal(size=n))
-        ds = ds_mod.Dataset(rng.uniform(-1, 1, size=(N, d)), rng.normal(size=N),
-                            ds_mod.Provenance("uniform_cube", seed))
-        fd_w, fd_t = model.fd_gradients(params, act, ds)
-        for fd, exact in ((fd_w, model.grad_W(params, act, ds)),
-                          (fd_t, model.grad_theta(params, act, ds))):
-            err = np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-12)
-            worst = max(worst, float(err))
-    return [_check("max_fd_relative_error", worst, 1e-6, "<=", worst <= 1e-6)]
-
-
-def suite_rank(activation: str, seed: int = 0, seeds: int = 25,
-               rank_tol: float = 1e-10) -> list:
-    act = builtin_activation(activation)
-    checks = []
-    expect_full = act.claimed_c1
-    for d in (2, 3):
-        N = d * d
-        full = 0
-        max_rank = 0
-        for s in range(seeds):
-            rng = np.random.default_rng((seed + 1) * 10_000 + 97 * d + s)
-            inputs = rng.uniform(-1.0, 1.0, size=(N, d))
-            W = rng.normal(size=(d, d))
-            rep = diagnostics.collection_rank(act, W, inputs, rank_tol)
-            max_rank = max(max_rank, rep.numerical_rank)
-            full += rep.is_full_rank()
-        if expect_full:
-            frac = full / seeds
-            checks.append(_check(f"full_rank_fraction_d{d}", frac, 1.0, ">=",
-                                 frac >= 1.0))
-        else:
-            # negative control: deficiency must be detected every time
-            checks.append(_check(f"control_max_rank_d{d}", max_rank, N, "<",
-                                 max_rank < N))
-    return checks
-
-
-def suite_lipschitz(activation: str, seed: int = 0, samples: int = 200) -> list:
-    act = builtin_activation(activation)
-    rng = np.random.default_rng(seed)
-    viol_w = viol_t = viol_order = 0
-    for _ in range(samples):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, d + 1))
-        N = int(rng.integers(2, 17))
-        U = rng.uniform(-1, 1, size=(N, d))
-        v = rng.normal(size=N)
-        ds = ds_mod.Dataset(U, v, ds_mod.Provenance("uniform_cube", seed))
-        theta = rng.normal(size=n)
-        W1 = rng.normal(size=(n, d))
-        W2 = rng.normal(size=(n, d))
-        p1 = model.NetworkParams(W1, theta)
-        est = diagnostics.lipschitz_estimates(p1, act, ds)
-        lhs = np.linalg.norm(model.grad_W(p1, act, ds)
-                             - model.grad_W(model.NetworkParams(W2, theta), act, ds))
-        if lhs > est.l_w_bound * np.linalg.norm(W1 - W2) * (1 + 1e-9):
-            viol_w += 1
-        t2 = rng.normal(size=n)
-        dgt = np.linalg.norm(model.grad_theta(p1, act, ds)
-                             - model.grad_theta(model.NetworkParams(W1, t2), act, ds))
-        if dgt > est.l_theta_exact * np.linalg.norm(theta - t2) * (1 + 1e-9):
-            viol_t += 1
-        if (est.l_theta_bound_analytic is not None
-                and est.l_theta_exact > est.l_theta_bound_analytic * (1 + 1e-12)):
-            viol_order += 1
-    return [
-        _check("grad_W_lipschitz_violations", viol_w, 0, "==", viol_w == 0),
-        _check("grad_theta_lipschitz_violations", viol_t, 0, "==", viol_t == 0),
-        _check("l_theta_ordering_violations", viol_order, 0, "==", viol_order == 0),
-    ]
-
-
-def suite_theorem1(activation: str, seed: int = 0, seeds: int = 200,
-                   inner_counts=(10, 50), sigma: float = 1.0) -> list:
-    act = builtin_activation(activation)
-    rng = np.random.default_rng(seed)
-    d, N, R = 3, 9, 4.0
-    ds = ds_mod.make_realizable(d, N, seed=seed + 5, activation=activation)
-    W = rng.normal(0, 1 / np.sqrt(d), size=(d, d))
-    theta0 = rng.normal(size=d)
-    theta0 = theta0 / max(1.0, np.linalg.norm(theta0) / (R / 2))
-    params = model.NetworkParams(W, theta0)
-    theta_star = optimizer.solve_theta_star(params, act, ds, R / 2)
-    f_star = model.loss(model.NetworkParams(W, theta_star), act, ds)
-    checks = []
-    for n_i in inner_counts:
-        cfg = RunConfig(n_outer=1, n_inner=n_i, R=R, sigma=sigma)
-        gaps = []
-        beta = None
-        for s in range(seeds):
-            theta_av, summary = optimizer.inner_sgd(
-                params, act, ds, cfg, np.random.default_rng(1000 + s))
-            gaps.append(model.loss(model.NetworkParams(W, theta_av), act, ds) - f_star)
-            beta = summary.beta
-        dist2 = float(np.sum((theta0 - theta_star) ** 2))
-        k0 = dist2 / (n_i * beta) + sigma ** 2 * beta
-        ratio = float(np.mean(gaps)) / k0
-        checks.append(_check(f"mean_gap_over_K0_Ni{n_i}", ratio, 1.1, "<=",
-                             ratio <= 1.1))
-    return checks
-
-
-def suite_theorem2(activation: str, seed: int = 0, seeds: int = 5,
-                   outer_counts=(30,)) -> list:
-    act = builtin_activation(activation)
-    d, N, R = 3, 9, 4.0
-    ds = ds_mod.make_realizable(d, N, seed=seed + 5, activation=activation)
-    u = act.value_bound
-    if u is None:
-        raise ConfigError("theorem2 suite needs a bounded activation")
-    l_theta_analytic = u * u * d
-    checks = []
-    for n_o in outer_counts:
-        mins, bounds = [], []
-        for s in range(seeds):
-            cfg = RunConfig(n_outer=n_o, n_inner=1, R=R, theorem2_preset=True,
-                            seed=seed * 1000 + s)
-            _, rec = optimizer.run(act, ds, cfg)
-            mins.append(float(np.min(rec.grad_norm[:n_o] ** 2)))
-            L = rec.derived["L_ball"]
-            bounds.append(2 * L * (rec.derived["f_init"]
-                                   + R * R * (l_theta_analytic + 0.5) + 1) / n_o)
-        ratio = float(np.mean(mins) / np.mean(bounds))
-        checks.append(_check(f"mean_min_grad_sq_over_bound_No{n_o}", ratio, 1.0,
-                             "<=", ratio <= 1.0))
-    return checks
-
-
-def suite_certify(activation: str, seed: int = 0, n_outer: int = 150,
-                  rank_tol: float = 1e-10) -> list:
-    act = builtin_activation(activation)
-    ds = ds_mod.make_realizable(3, 9, seed=seed + 5, activation=activation)
-    cfg = RunConfig(n_outer=n_outer, n_inner=20, R=4.0, sigma=0.0, seed=seed)
-    params, _ = optimizer.run(act, ds, cfg)
-    cert = diagnostics.certify(params, act, ds, rank_tol)
-    ratio = (cert.residual_norm / cert.certified_bound
-             if np.isfinite(cert.certified_bound) and cert.certified_bound > 0
-             else float("inf"))
-    return [
-        _check("residual_over_certified_bound", ratio, 1 + 1e-8, "<=",
-               ratio <= 1 + 1e-8),
-        _check("sigma_min_D_positive", cert.sigma_min_D, 0.0, ">",
-               cert.sigma_min_D > 0.0),
-        _check("verdict", cert.verdict, "certified_near_global", "==",
-               cert.verdict == "certified_near_global"),
-    ]
-
-
 def cmd_verify(args) -> int:
     spec = _load_spec(args)
-    activation = _activation_name(args, spec)
+    activation = args.activation or spec.activation
     seed = 0 if args.seed is None else args.seed
+    if args.out:
+        (out_path,) = files.output_paths(
+            args.out, [f"verify_{args.suite}.json"], args.force)
     runners = {
-        "gradcheck": lambda: suite_gradcheck(activation, seed,
-                                             args.instances),
-        "rank": lambda: suite_rank(activation, seed, args.trials,
-                                   args.rank_tol),
-        "lipschitz": lambda: suite_lipschitz(activation, seed,
-                                             args.trials),
+        "gradcheck": lambda: suite_gradcheck(activation, seed, args.instances),
+        "rank": lambda: suite_rank(activation, seed, args.trials, args.rank_tol),
+        "lipschitz": lambda: suite_lipschitz(activation, seed, args.trials),
         "theorem1": lambda: suite_theorem1(activation, seed, args.seeds),
         "theorem2": lambda: suite_theorem2(activation, seed, args.seeds),
-        "certify": lambda: suite_certify(activation, seed,
-                                         rank_tol=args.rank_tol),
+        "certify": lambda: suite_certify(activation, seed, args.rank_tol),
     }
     checks = runners[args.suite]()
     verdict = {"suite": args.suite, "activation": activation,
                "checks": checks, "pass": all(c["pass"] for c in checks)}
     print(json.dumps(verdict, indent=2))
     if args.out:
-        (path,) = files.output_paths(
-            args.out, [f"verify_{args.suite}.json"], args.force)
-        files.write_json(path, verdict)
+        files.write_json(out_path, verdict)
     return 0 if verdict["pass"] else 1
 
 

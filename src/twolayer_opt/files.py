@@ -88,13 +88,19 @@ def read_json(path):
 
 
 def json_field(kind, value, what: str):
-    """kind(value) for a value read from a JSON file.  A value kind cannot
-    convert (a null where a number belongs, say), or one that is not
-    already a bool or str where kind is bool or str, raises FormatError
-    naming what."""
+    """kind(value) for a value read from a JSON file.  Raises FormatError
+    naming what when kind cannot convert the value (a null where a number
+    belongs, say), when kind is bool or str and the value is not one
+    already, and when kind is int or float and the value is not a JSON
+    number (a bool or a string, say) or, for int, not an integral one."""
     try:
         if kind in (bool, str) and not isinstance(value, kind):
             raise TypeError   # bool("false") and str(None) would succeed
+        if kind in (int, float) and (isinstance(value, bool)
+                                     or not isinstance(value, (int, float))):
+            raise TypeError   # int(True) and float("1") would succeed
+        if kind is int and value != int(value):
+            raise ValueError  # int(2.7) would truncate
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise FormatError(

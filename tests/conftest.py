@@ -5,11 +5,7 @@ import pytest
 
 from twolayer_opt import Dataset, NetworkParams, Provenance, model, optimizer
 from twolayer_opt.diagnostics import theta_smoothness
-
-
-def rel_err(approx, exact):
-    scale = max(float(np.linalg.norm(exact)), 1e-12)
-    return float(np.linalg.norm(np.asarray(approx) - np.asarray(exact))) / scale
+from twolayer_opt.verify import rel_err  # noqa: F401  (re-exported to the tests)
 
 
 def fitted_labels(params, act, inputs):

@@ -9,12 +9,10 @@ from dataclasses import replace
 import numpy as np
 from conftest import rel_err
 
-from twolayer_opt import (Dataset, NetworkParams, Provenance, RunConfig,
-                          builtin_activation, certify, collection_rank,
-                          inner_sgd, make_realizable, model,
-                          perturbation_rank_trial, prox_ball, run,
-                          solve_theta_star)
-from twolayer_opt.diagnostics import lipschitz_ball_bound, lipschitz_estimates
+from twolayer_opt import (NetworkParams, RunConfig, builtin_activation, certify,
+                          collection_rank, inner_sgd, make_realizable, model,
+                          perturbation_rank_trial, prox_ball, run, verify)
+from twolayer_opt.diagnostics import lipschitz_ball_bound
 
 SIG = builtin_activation("sigmoid")
 
@@ -25,31 +23,9 @@ def report(num, name, passed, detail):
     assert passed, f"criterion {num} ({name}): {detail}"
 
 
-def _random_instance(rng, d_max=5, n_max=None, N_max=25, ball=None):
-    d = int(rng.integers(2, d_max + 1))
-    n = int(rng.integers(1, (n_max or d) + 1)) if n_max != "square" else d
-    n = min(n, d)
-    N = int(rng.integers(2, N_max + 1))
-    theta = rng.normal(size=n)
-    if ball is not None:
-        theta = theta / max(1.0, np.linalg.norm(theta) / ball)
-    params = NetworkParams(rng.normal(size=(n, d)), theta)
-    ds = Dataset(rng.uniform(-1.0, 1.0, size=(N, d)), rng.normal(size=N),
-                 Provenance("uniform_cube", None))
-    return params, ds
-
-
 def test_criterion_01_gradient_correctness():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for name in ("sigmoid", "tanh", "gaussian", "softplus"):
-        act = builtin_activation(name)
-        for _ in range(20):
-            p, ds = _random_instance(rng)
-            fd_w, fd_t = model.fd_gradients(p, act, ds, step=1e-5)
-            worst = max(worst,
-                        rel_err(fd_w, model.grad_W(p, act, ds)),
-                        rel_err(fd_t, model.grad_theta(p, act, ds)))
+    acts = [builtin_activation(n) for n in ("sigmoid", "tanh", "gaussian", "softplus")]
+    worst = verify.gradcheck(acts, np.random.default_rng(101), 20)
     report(1, "gradient correctness", worst <= 1e-6,
            f"max relative FD error {worst:.3e} <= 1e-6")
 
@@ -58,7 +34,7 @@ def test_criterion_02_stationarity_identity():
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(100):
-        p, ds = _random_instance(rng)
+        p, ds = verify.gradient_instance(rng)
         sys = model.stationarity_system(p, SIG, ds)
         g = model.grad_W(p, SIG, ds).reshape(-1)
         worst = max(worst, rel_err(-(sys.D @ sys.s) / ds.n_samples, g))
@@ -124,111 +100,37 @@ def test_criterion_05_perturbation_rank():
 
 
 def test_criterion_06_grad_W_lipschitz_bound():
-    rng = np.random.default_rng(606)
-    activations = [builtin_activation(n)
-                   for n in ("sigmoid", "tanh", "gaussian", "softplus")]
-    violations = 0
-    worst = 0.0
-    for i in range(1000):
-        act = activations[i % 4]
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, d + 1))
-        N = int(rng.integers(2, 17))
-        ds = Dataset(rng.uniform(-1, 1, size=(N, d)), rng.normal(size=N),
-                     Provenance("uniform_cube", None))
-        theta = rng.normal(size=n)
-        theta = theta / max(1.0, np.linalg.norm(theta) / 2.0)  # in the ball
-        W1, W2 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
-        p1 = NetworkParams(W1, theta)
-        bound = lipschitz_estimates(p1, act, ds).l_w_bound
-        lhs = np.linalg.norm(model.grad_W(p1, act, ds)
-                             - model.grad_W(NetworkParams(W2, theta), act, ds))
-        rhs = bound * np.linalg.norm(W1 - W2)
-        if rhs > 0:
-            worst = max(worst, lhs / rhs)
-        if lhs > rhs * (1 + 1e-9):
-            violations += 1
+    acts = [builtin_activation(n) for n in ("sigmoid", "tanh", "gaussian", "softplus")]
+    violations, worst = verify.lipschitz_W(acts, np.random.default_rng(606), 1000)
     report(6, "W-gradient Lipschitz bound", violations == 0,
            f"0 violations required, got {violations}; worst lhs/rhs {worst:.3f}")
 
 
 def test_criterion_07_theta_lipschitz_and_ordering():
-    rng = np.random.default_rng(707)
-    activations = [builtin_activation(n)
-                   for n in ("sigmoid", "tanh", "gaussian", "erf")]
-    viol_lip = viol_ord = 0
-    for i in range(1000):
-        act = activations[i % 4]
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, d + 1))
-        N = int(rng.integers(2, 17))
-        ds = Dataset(rng.uniform(-1, 1, size=(N, d)), rng.normal(size=N),
-                     Provenance("uniform_cube", None))
-        W = rng.normal(size=(n, d))
-        t1, t2 = rng.normal(size=n), rng.normal(size=n)
-        p1 = NetworkParams(W, t1)
-        est = lipschitz_estimates(p1, act, ds)
-        lhs = np.linalg.norm(model.grad_theta(p1, act, ds)
-                             - model.grad_theta(NetworkParams(W, t2), act, ds))
-        if lhs > est.l_theta_exact * np.linalg.norm(t1 - t2) * (1 + 1e-9):
-            viol_lip += 1
-        if est.l_theta_exact > est.l_theta_bound_analytic * (1 + 1e-12):
-            viol_ord += 1
+    acts = [builtin_activation(n) for n in ("sigmoid", "tanh", "gaussian", "erf")]
+    viol_lip, viol_ord = verify.lipschitz_theta(acts, np.random.default_rng(707), 1000)
     report(7, "theta-gradient Lipschitz constant and u^2 n ordering",
            viol_lip == 0 and viol_ord == 0,
            f"lipschitz violations {viol_lip}, ordering violations {viol_ord}")
 
 
 def test_criterion_08_inner_sgd_bound():
-    rng = np.random.default_rng(808)
     ds = make_realizable(3, 9, seed=11)
-    R, sigma = 4.0, 1.0
-    W = rng.normal(0.0, 1.0 / np.sqrt(3), size=(3, 3))
-    theta0 = rng.normal(size=3)
-    theta0 = theta0 / max(1.0, np.linalg.norm(theta0) / (R / 2))
-    params = NetworkParams(W, theta0)
-    theta_star = solve_theta_star(params, SIG, ds, R / 2, tol=1e-12)
-    f_star = model.loss(NetworkParams(W, theta_star), SIG, ds)
-    dist2 = float(np.sum((theta0 - theta_star) ** 2))
-
-    ok = True
-    details = []
-    for n_i in (10, 100):
-        cfg = RunConfig(n_outer=1, n_inner=n_i, R=R, sigma=sigma)
-        gaps = []
-        beta = None
-        for s in range(1000):
-            theta_av, summary = inner_sgd(params, SIG, ds, cfg,
-                                          np.random.default_rng(80_000 + s))
-            gaps.append(model.loss(NetworkParams(W, theta_av), SIG, ds) - f_star)
-            beta = summary.beta
-        k0 = dist2 / (n_i * beta) + sigma ** 2 * beta
-        mean_gap = float(np.mean(gaps))
-        ok &= mean_gap <= 1.1 * k0
-        details.append(f"N_i={n_i}: mean gap {mean_gap:.4f} vs 1.1*K0 {1.1 * k0:.4f}")
-    report(8, "inner-SGD suboptimality bound K0", ok, "; ".join(details))
+    results = dict(zip((10, 100), verify.theorem1(
+        SIG, np.random.default_rng(808), ds, 80_000, 1000, (10, 100))))
+    report(8, "inner-SGD suboptimality bound K0",
+           all(gap <= 1.1 * k0 for gap, k0 in results.values()),
+           "; ".join(f"N_i={n_i}: mean gap {gap:.4f} vs 1.1*K0 {1.1 * k0:.4f}"
+                     for n_i, (gap, k0) in results.items()))
 
 
 def test_criterion_09_outer_convergence_bound():
     ds = make_realizable(3, 9, seed=11)
-    R = 4.0
-    l_theta_analytic = 1.0 * 3  # u^2 n for sigmoid with n = 3
-    ok = True
-    details = []
-    for n_o in (50, 200):
-        mins, bounds = [], []
-        for s in range(50):
-            cfg = RunConfig(n_outer=n_o, n_inner=1, R=R, theorem2_preset=True,
-                            seed=1000 * n_o + s)
-            _, rec = run(SIG, ds, cfg)
-            mins.append(float(np.min(rec.grad_norm[:n_o] ** 2)))
-            L = rec.derived["L_ball"]
-            bounds.append(2.0 * L * (rec.derived["f_init"]
-                                     + R * R * (l_theta_analytic + 0.5) + 1.0) / n_o)
-        mean_min, mean_bound = float(np.mean(mins)), float(np.mean(bounds))
-        ok &= mean_min <= mean_bound
-        details.append(f"N_o={n_o}: mean min grad^2 {mean_min:.3e} <= bound {mean_bound:.3f}")
-    report(9, "outer gradient-norm convergence bound", ok, "; ".join(details))
+    results = {n_o: verify.theorem2(SIG, ds, 1000 * n_o, 50, n_o) for n_o in (50, 200)}
+    report(9, "outer gradient-norm convergence bound",
+           all(low <= bound for low, bound in results.values()),
+           "; ".join(f"N_o={n_o}: mean min grad^2 {low:.3e} <= bound {bound:.3f}"
+                     for n_o, (low, bound) in results.items()))
 
 
 def test_criterion_10_global_certificate():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from twolayer_opt import FormatError, builtin_activation, dataset, model
+from twolayer_opt import FormatError, builtin_activation, cli, dataset, model
 from twolayer_opt.cli import main, read_trajectory_csv
 
 
@@ -159,16 +159,22 @@ class TestTrain:
         ({"run": {"N_o": 2, "N_i": 2, "init": None}}, "'init'"),
         ({"run": None}, "'run'"),
         ({"dataset": None}, "'dataset'"),
-        ({"suites": None}, "'suites'"),
         ({"out_dir": None}, "'out_dir'"),
         (None, "JSON object"),
         ({"run": {"N_o": 2, "N_i": 2, "early_exit": "false"}}, "'early_exit'"),
         ({"run": {"N_o": 2, "N_i": 2, "theorem2_preset": "no"}},
          "'theorem2_preset'"),
         ({"run": {"N_o": 2, "N_i": 2, "early_exit": 0}}, "'early_exit'"),
+        ({"run": {"N_o": 2.7, "N_i": 2}}, "'N_o'"),
+        ({"repetitions": True}, "'repetitions'"),
+        ({"run": {"N_o": 2, "N_i": 2, "sigma": False}}, "'sigma'"),
+        ({"activation": ["sigmoid"]}, "'activation'"),
+        ({"dataset": {"path": 5}}, "'dataset.path'"),
+        ({"name": None}, "'name'"),
     ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
-            "suites", "out_dir", "list", "run.early_exit", "run.theorem2_preset",
-            "run.early_exit_number"])
+            "out_dir", "list", "run.early_exit", "run.theorem2_preset",
+            "run.early_exit_number", "run.N_o_fraction", "repetitions_bool",
+            "run.sigma_bool", "activation_list", "dataset.path", "name"])
     def test_config_wrong_json_type(self, tmp_path, capsys, change, key):
         spec = {"dataset": {"d": 3, "N": 9},
                 "run": {"N_o": 2, "N_i": 2}, "repetitions": 1}
@@ -244,6 +250,15 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         assert run_cli("verify", "nonsense") == 2
 
+    def test_suite_looked_up_at_call_time(self, monkeypatch, capsys):
+        calls = []
+        fake = [{"check": "fake", "pass": True}]
+        monkeypatch.setattr(cli, "suite_theorem2",
+                            lambda *args: calls.append(args) or fake)
+        assert run_cli("verify", "theorem2", "--seeds", "7") == 0
+        assert calls == [("sigmoid", 0, 7)]
+        assert json.loads(capsys.readouterr().out)["checks"] == fake
+
 
 class TestPlotdata:
     def _train(self, tmp_path, reps):
@@ -317,3 +332,17 @@ def test_out_naming_a_file(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert str(blocker) in err and err.count("\n") == 1
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", [["verify", "gradcheck", "--instances", "1"],
+                                  ["diagnose", "--data"]])
+def test_rerun_refused_before_the_work(tmp_path, capsys, argv):
+    run_cli("generate", "--d", "3", "--n-samples", "9",
+            "--out", str(tmp_path), "--name", "demo")
+    if argv[0] == "diagnose":
+        argv = argv + [str(tmp_path / "demo.csv")]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--force" in err and err.count("\n") == 1
