@@ -15,7 +15,7 @@ def demo(workdir: Path) -> int:
     data = workdir / "data"
     runs = workdir / "runs"
     steps = [
-        ["generate", "--d", "3", "--n-samples", "9", "--seed", "7",
+        ["generate", "--d", "3", "--n-samples", "9", "--data-seed", "7",
          "--activation", "sigmoid", "--out", str(data), "--name", "demo",
          "--warn-overparam", "--force"],
         ["train", "--data", str(data / "demo.csv"), "--activation", "sigmoid",

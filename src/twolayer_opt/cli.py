@@ -1,7 +1,11 @@
 """Command-line harness: dataset generation, training runs, diagnostics,
 bound-verification suites, and plot-ready output emission.
 
-Subcommands: generate, train, diagnose, verify <suite>, plotdata.
+Subcommands: generate, train, diagnose, verify <suite>, plotdata.  Each
+takes only the flags it reads (see build_parser); a train flag overrides
+the run config key it is named after, a dataset flag the recipe key in
+RECIPE_KEYS, and --activation the config's activation.  A config key that
+nothing reads is an error.
 Exit codes: 0 pass, 1 suite failure, 2 usage/config error, 3 numeric failure.
 
 File-writing commands refuse to overwrite existing outputs unless --force is
@@ -14,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,8 @@ from . import dataset as ds_mod
 from . import diagnostics, files, model, optimizer
 from .activations import ACTIVATION_NAMES, builtin_activation
 from .errors import ConfigError, FormatError, IoError, NumericsError
-from .optimizer import TRAJECTORY_COLUMNS, RunConfig, TrajectoryRecord
+from .optimizer import (INIT_KEYS, RUN_KEYS, TRAJECTORY_COLUMNS, RunConfig,
+                        TrajectoryRecord)
 # cmd_verify calls each suite through these module globals, so wrapping
 # cli.suite_<name> reaches the call
 from .verify import (SUITES, suite_certify, suite_gradcheck, suite_lipschitz,
@@ -47,12 +52,22 @@ def read_trajectory_csv(path) -> dict:
 
 # ------------------------------------------------------------ spec loading
 
+# dataset recipe key -> (generate/train flag dest, JSON type, default); the
+# recipe holds make_realizable's arguments
+RECIPE_KEYS = {
+    "d": ("d", int, None), "N": ("n_samples", int, None),
+    "dist": ("dist", str, "uniform_cube"), "seed": ("data_seed", int, 0),
+    "teacher_seed": ("teacher_seed", int, None),
+    "noise_std": ("noise_std", float, 0.0),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """JSON experiment description; CLI flags override individual fields.
 
-    dataset is either {"path": <csv>} or an inline recipe
-    {"d", "N", "dist", "seed", "teacher_seed", "noise_std"}.
+    dataset is either {"path": <csv>} or an inline recipe with the keys of
+    RECIPE_KEYS.
     """
 
     name: str = "run"
@@ -64,20 +79,22 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        def get(kind, key, default):
-            return files.json_field(kind, data.get(key, default),
-                                    f"config key {key!r}")
-
-        spec = cls(
-            name=get(str, "name", "run"),
-            dataset=get(dict, "dataset", {}),
-            activation=get(str, "activation", "sigmoid"),
-            run=get(dict, "run", {}),
-            repetitions=get(int, "repetitions", 1),
-            out_dir=get(str, "out_dir", "."),
-        )
+        """ExperimentSpec from a JSON config object.  Each key takes the
+        JSON type of its field's default.  An unknown key raises
+        ConfigError, and a value of the wrong JSON type FormatError, each
+        naming the key."""
+        files.check_keys(data, [f.name for f in fields(cls)], "config")
+        default = cls()
+        spec = cls(**{key: files.json_field(type(getattr(default, key)), value,
+                                            f"config key {key!r}")
+                      for key, value in data.items()})
         if spec.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {spec.repetitions}")
+        if spec.activation not in ACTIVATION_NAMES:
+            raise ConfigError(
+                f"config key 'activation' must be one of "
+                f"{', '.join(ACTIVATION_NAMES)}, got {spec.activation!r}")
+        files.check_keys(spec.dataset, ["path", *RECIPE_KEYS], "config 'dataset'")
         path = files.json_field(str, spec.dataset.get("path", ""),
                                 "config key 'dataset.path'")
         if path and not Path(path).exists():
@@ -86,92 +103,64 @@ class ExperimentSpec:
 
 
 def _load_spec(args) -> ExperimentSpec:
+    """The --config spec (all defaults without one), with --activation,
+    when given, in place of the config's activation."""
     cfg = files.read_json(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {args.config} is not a JSON object")
-    return ExperimentSpec.from_dict(cfg)
+    spec = ExperimentSpec.from_dict(cfg)
+    return replace(spec, activation=args.activation) if args.activation else spec
 
 
-def _dataset_recipe(args, spec: ExperimentSpec, data_seed) -> dict:
-    """make_realizable arguments: flags first, then the spec's inline recipe.
-
-    data_seed is the flag value for the data seed (None when not given)."""
-    recipe = spec.dataset
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else recipe.get(key, default)
-
-    def number(kind, value, key):
-        return files.json_field(kind, value, f"dataset recipe key {key!r}")
-
-    d, N = pick(args.d, "d"), pick(args.n_samples, "N")
-    if d is None or N is None:
+def _dataset_recipe(args, spec: ExperimentSpec) -> dict:
+    """make_realizable arguments: each flag given, else the spec's recipe
+    value, else the RECIPE_KEYS default.  A null is taken only where the
+    default is None."""
+    recipe = {}
+    for key, (dest, kind, default) in RECIPE_KEYS.items():
+        value = getattr(args, dest)
+        if value is None:
+            value = spec.dataset.get(key, default)
+        recipe[key] = (None if value is None and default is None else
+                       files.json_field(kind, value, f"dataset recipe key {key!r}"))
+    if recipe["d"] is None or recipe["N"] is None:
         raise ConfigError(
             "no dataset: pass --d and --n-samples (train also takes --data)")
-    teacher_seed = pick(args.teacher_seed, "teacher_seed")
-    return {"d": number(int, d, "d"), "N": number(int, N, "N"),
-            "dist": args.dist or recipe.get("dist", "uniform_cube"),
-            "seed": number(int, pick(data_seed, "seed", 0), "seed"),
-            "teacher_seed": (None if teacher_seed is None
-                             else number(int, teacher_seed, "teacher_seed")),
-            "noise_std": number(float, pick(args.noise_std, "noise_std", 0.0),
-                                "noise_std")}
+    return recipe
 
 
-def _dataset_from_args(args, spec: ExperimentSpec, activation: str):
+def _dataset_from_args(args, spec: ExperimentSpec):
     """Dataset from --data path, the spec's dataset entry, or inline flags."""
     path = args.data or spec.dataset.get("path")
     if path:
         return ds_mod.load(path), str(path)
-    recipe = _dataset_recipe(args, spec, args.data_seed)
-    ds = ds_mod.make_realizable(activation=activation, **recipe)
+    recipe = _dataset_recipe(args, spec)
+    ds = ds_mod.make_realizable(activation=spec.activation, **recipe)
     return ds, "inline(d={d}, N={N}, dist={dist}, seed={seed})".format(**recipe)
 
 
 def _run_config_from_args(args, spec: ExperimentSpec) -> RunConfig:
+    """The spec's run section, with each train flag that was given over its
+    key (a run flag's dest is its key)."""
     run_cfg = dict(spec.run)
-    overrides = {
-        "N_o": args.n_outer, "N_i": args.n_inner, "R": args.r_ball,
-        "sigma": args.sigma, "beta": args.beta, "gamma": args.gamma,
-        "seed": args.seed,   # None when the flag was omitted
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            run_cfg[key] = val
-    if args.gamma is not None:
-        run_cfg["gamma_policy"] = "fixed"
-    if args.beta is not None:
-        run_cfg["beta_policy"] = "fixed"
-    if args.theorem2_preset:
-        run_cfg["theorem2_preset"] = True
-    if args.early_exit:
-        run_cfg["early_exit"] = True
-    init = files.json_field(dict, run_cfg.get("init", {}),
-                            "run config key 'init'")
-    if args.w_scale is not None:
-        init["W_scale"] = args.w_scale
-    if args.theta_scale is not None:
-        init["theta_scale"] = args.theta_scale
-    if init:
-        run_cfg["init"] = init
-    run_cfg.setdefault("N_o", 50)
-    run_cfg.setdefault("N_i", 20)
-    run_cfg.setdefault("seed", 0)
-    return RunConfig.from_dict(run_cfg)
+    init = files.json_field(dict, run_cfg.get("init", {}), "run config key 'init'")
+    for section, keys in ((run_cfg, RUN_KEYS), (init, INIT_KEYS)):
+        section.update((key, getattr(args, key)) for key in keys
+                       if getattr(args, key) is not None)
+    return RunConfig.from_dict({**run_cfg, "init": init})
 
 
 # ------------------------------------------------------------- subcommands
 
 def cmd_generate(args) -> int:
     spec = _load_spec(args)
-    data_seed = args.data_seed if args.data_seed is not None else args.seed
-    recipe = _dataset_recipe(args, spec, data_seed)
+    recipe = _dataset_recipe(args, spec)
     d, N, dist = recipe["d"], recipe["N"], recipe["dist"]
     if args.warn_overparam and N > d * d:
         print(f"warning: N={N} exceeds d^2={d * d}; the full-column-rank "
               "certificate needs the number of samples to stay below the "
               "number of parameters (N <= n*d)", file=sys.stderr)
-    ds = ds_mod.make_realizable(activation=args.activation or spec.activation, **recipe)
+    ds = ds_mod.make_realizable(activation=spec.activation, **recipe)
     name = f"{args.name}.csv"
     path, meta_path = files.output_paths(
         args.out, [name, files.sidecar(name)], args.force)
@@ -203,17 +192,15 @@ def cmd_train(args) -> int:
     spec = _load_spec(args)
     name = args.name or spec.name
     reps = args.reps if args.reps is not None else spec.repetitions
-    if reps < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {reps}")
-    activation = args.activation or spec.activation
-    ds, ds_desc = _dataset_from_args(args, spec, activation)
+    ds, ds_desc = _dataset_from_args(args, spec)
     cfg = _run_config_from_args(args, spec)
     outputs = files.output_paths(
         args.out or spec.out_dir,
         [f"{name}_rep{rep}.{kind}" for rep in range(reps)
          for kind in ("trajectory.csv", "manifest.json")], args.force)
 
-    manifests = [_train_one(name, rep, activation, ds, cfg, traj_path, manifest_path)
+    manifests = [_train_one(name, rep, spec.activation, ds, cfg, traj_path,
+                            manifest_path)
                  for rep, (traj_path, manifest_path)
                  in enumerate(zip(outputs[::2], outputs[1::2]))]
 
@@ -227,11 +214,8 @@ def cmd_train(args) -> int:
 
 def cmd_diagnose(args) -> int:
     spec = _load_spec(args)
-    data = args.data or spec.dataset.get("path")
-    if not data:
-        raise ConfigError("diagnose needs --data")
-    ds = ds_mod.load(data)
-    act = builtin_activation(args.activation or spec.activation)
+    ds = ds_mod.load(args.data)
+    act = builtin_activation(spec.activation)
     if args.params:
         params, _ = model.load_params(args.params)
     else:
@@ -281,7 +265,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args)
-    activation = args.activation or spec.activation
+    activation = spec.activation
     seed = 0 if args.seed is None else args.seed
     if args.out:
         (out_path,) = files.output_paths(
@@ -343,81 +327,99 @@ def cmd_plotdata(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(sp):
-    sp.add_argument("--config", help="experiment spec JSON")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--activation", default=None, choices=ACTIVATION_NAMES,
-                    help="activation name (default: config value or sigmoid)")
-    sp.add_argument("--rank-tol", type=float, default=1e-10)
-    sp.add_argument("--force", action="store_true",
-                    help="overwrite existing outputs")
+def count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# every flag that several subcommands take, declared once
+SHARED_FLAGS = {
+    "--config": dict(help="experiment spec JSON"),
+    "--activation": dict(choices=ACTIVATION_NAMES,
+                         help="activation name (default: config value or sigmoid)"),
+    "--seed": dict(type=int),
+    "--rank-tol": dict(type=float, default=1e-10),
+    "--out": dict(help="output directory"),
+    "--force": dict(action="store_true", help="overwrite existing outputs"),
+    # the dataset recipe (RECIPE_KEYS)
+    "--d": dict(type=int),
+    "--n-samples": dict(type=int),
+    "--dist": dict(choices=ds_mod.DISTRIBUTIONS),
+    "--data-seed": dict(type=int),
+    "--teacher-seed": dict(type=int),
+    "--noise-std": dict(type=float),
+}
+SPEC_FLAGS = ("--config", "--activation")
+OUT_FLAGS = ("--out", "--force")
+DATASET_FLAGS = ("--d", "--n-samples", "--dist", "--data-seed", "--teacher-seed",
+                 "--noise-std")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line on stderr and exit code 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twolayer-opt",
         description="Two-layer network SGD-GD trainer with global-optimality "
                     "certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a teacher-labeled dataset")
-    _add_common(gen)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--n-samples", type=int)
-    gen.add_argument("--dist", choices=ds_mod.DISTRIBUTIONS)
-    gen.add_argument("--data-seed", type=int)
-    gen.add_argument("--teacher-seed", type=int)
-    gen.add_argument("--noise-std", type=float)
+    def command(name, func, help, shared):
+        sp = sub.add_parser(name, help=help)
+        for flag in shared:
+            sp.add_argument(flag, **SHARED_FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
+
+    gen = command("generate", cmd_generate, "generate a teacher-labeled dataset",
+                  SPEC_FLAGS + DATASET_FLAGS + OUT_FLAGS)
     gen.add_argument("--name", default="data")
     gen.add_argument("--warn-overparam", action="store_true")
-    gen.set_defaults(func=cmd_generate, out=".")
+    gen.set_defaults(out=".")
 
-    tr = sub.add_parser("train", help="run SGD-GD repetitions")
-    _add_common(tr)
+    tr = command("train", cmd_train, "run SGD-GD repetitions",
+                 SPEC_FLAGS + ("--seed",) + DATASET_FLAGS + OUT_FLAGS)
     tr.add_argument("--data", help="dataset CSV path")
-    tr.add_argument("--d", type=int)
-    tr.add_argument("--n-samples", type=int)
-    tr.add_argument("--dist", choices=ds_mod.DISTRIBUTIONS)
-    tr.add_argument("--data-seed", type=int)
-    tr.add_argument("--teacher-seed", type=int)
-    tr.add_argument("--noise-std", type=float)
     tr.add_argument("--name")
-    tr.add_argument("--reps", type=int)
-    tr.add_argument("--n-outer", type=int)
-    tr.add_argument("--n-inner", type=int)
-    tr.add_argument("--r-ball", type=float, help="ball diameter parameter R")
+    tr.add_argument("--reps", type=count)
+    # each run flag's dest is the RUN_KEYS or INIT_KEYS key it overrides
+    tr.add_argument("--n-outer", dest="N_o", type=int)
+    tr.add_argument("--n-inner", dest="N_i", type=int)
+    tr.add_argument("--r-ball", dest="R", type=float,
+                    help="ball diameter parameter R")
     tr.add_argument("--sigma", type=float)
     tr.add_argument("--beta", type=float)
     tr.add_argument("--gamma", type=float)
-    tr.add_argument("--theorem2-preset", action="store_true")
-    tr.add_argument("--early-exit", action="store_true")
-    tr.add_argument("--w-scale", type=float)
+    tr.add_argument("--theorem2-preset", action="store_true", default=None)
+    tr.add_argument("--early-exit", action="store_true", default=None)
+    tr.add_argument("--w-scale", dest="W_scale", type=float)
     tr.add_argument("--theta-scale", type=float)
-    tr.set_defaults(func=cmd_train)
 
-    di = sub.add_parser("diagnose", help="rank/Lipschitz/certificate report")
-    _add_common(di)
+    di = command("diagnose", cmd_diagnose, "rank/Lipschitz/certificate report",
+                 SPEC_FLAGS + ("--seed", "--rank-tol") + OUT_FLAGS)
     di.add_argument("--data", required=True)
     di.add_argument("--params", help="NetworkParams CSV (see model.save_params)")
     di.add_argument("--name")
-    di.set_defaults(func=cmd_diagnose)
 
-    ve = sub.add_parser("verify", help="run a bound-verification suite")
-    _add_common(ve)
+    ve = command("verify", cmd_verify, "run a bound-verification suite",
+                 SPEC_FLAGS + ("--seed", "--rank-tol") + OUT_FLAGS)
     ve.add_argument("suite", choices=SUITES)
-    ve.add_argument("--seeds", type=int, default=200,
+    ve.add_argument("--seeds", type=count, default=200,
                     help="Monte-Carlo seed count (theorem suites)")
-    ve.add_argument("--trials", type=int, default=25,
+    ve.add_argument("--trials", type=count, default=25,
                     help="trial count (rank/lipschitz suites)")
-    ve.add_argument("--instances", type=int, default=5,
+    ve.add_argument("--instances", type=count, default=5,
                     help="instance count (gradcheck)")
-    ve.set_defaults(func=cmd_verify)
 
-    pl = sub.add_parser("plotdata", help="emit plot-ready metric files")
-    _add_common(pl)
+    pl = command("plotdata", cmd_plotdata, "emit plot-ready metric files", OUT_FLAGS)
     pl.add_argument("--run-dir", required=True)
-    pl.set_defaults(func=cmd_plotdata)
     return parser
 
 
@@ -429,7 +431,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ConfigError, IoError, FormatError, ValueError, NameError) as exc:
+    except (ConfigError, IoError, FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .activations import ActivationFunction
 from .errors import ConfigError, NumericsError, ShapeError
-from .model import (NetworkParams, _features, grad_W, khatri_rao, loss,
+from .model import (NetworkParams, _features, grad_W, khatri_rao, objective,
                     stationarity_system)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -251,7 +251,7 @@ def certify(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
         sigma_max_D=sigma_max,
         residual_norm=resid_norm,
         certified_bound=float(bound),
-        loss_value=loss(p, a, ds),
+        loss_value=objective(sys.s),
         verdict=verdict,
         rank_tol=rank_tol,
     )

@@ -13,7 +13,8 @@
 
 A file that cannot be read or written raises IoError; a malformed table
 line, JSON document or sidecar value raises FormatError, with the 1-based
-line number where one applies.
+line number where one applies.  A config key that nothing reads raises
+ConfigError.
 """
 
 from __future__ import annotations
@@ -105,6 +106,15 @@ def json_field(kind, value, what: str):
     except (TypeError, ValueError, OverflowError):
         raise FormatError(
             f"{what} must be {kind.__name__}, got {json.dumps(value)}") from None
+
+
+def check_keys(section: dict, known, what: str) -> None:
+    """Raise ConfigError naming the first key of section (a JSON object
+    read from a config) that is not in known: nothing would read it."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown {what} key {key!r} "
+                              f"(known: {', '.join(known)})")
 
 
 def sidecar(path) -> Path:

@@ -12,16 +12,16 @@ theta <- P_ball((I - beta G) theta + beta (b - xi_t)).  The phase computes
 H, G, b and all n_inner noise vectors xi_t once (one generator call), so a
 step costs O(n^2) and touches none of the N samples.
 
-Step-size policies:
-  * beta: "constant_opt" uses beta = min(1/(2 L_theta), sqrt(1/(N_i sigma^2)))
-    with the exact data-dependent L_theta; "fixed" must satisfy
+Step sizes: a beta or gamma left at None is derived; one that is given is
+used, after a check of its bound.
+  * beta: derived as min(1/(2 L_theta), sqrt(1/(N_i sigma^2))) with the
+    exact data-dependent L_theta; a given beta must satisfy
     0 < beta <= 1/(2 L_theta).
-  * gamma: "one_over_L" uses 1/L with L the W-smoothness bound evaluated at
-    the worst case over the feasible ball (constant across iterations);
-    "fixed" must satisfy 0 < gamma < 2/L.
+  * gamma: derived as 1/L with L the W-smoothness bound evaluated at the
+    worst case over the feasible ball (constant across iterations); a given
+    gamma must satisfy 0 < gamma < 2/L.
   * theorem2_preset derives N_i = N_o, sigma = 1/sqrt(N_i), gamma = 1/L,
-    and beta from that N_i and sigma.
-  A beta or gamma given without its "fixed" policy is rejected.
+    and beta from that N_i and sigma, so it rejects a given beta or gamma.
 
 Runs are bit-reproducible from (config, dataset): all randomness flows from
 one seeded generator, drawn in a fixed order.
@@ -30,7 +30,7 @@ one seeded generator, drawn in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -39,33 +39,40 @@ from .activations import ActivationFunction
 from .diagnostics import (column_sigma_extremes, lipschitz_ball_bound,
                           lipschitz_estimates, theta_smoothness)
 from .errors import ConfigError, NumericsError, ShapeError
-from .files import json_field
+from .files import check_keys, json_field
 from .model import (NetworkParams, _features, grad_W, loss, objective,
                     stationarity_system, theta_gradient)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
 
-BETA_POLICIES = ("constant_opt", "fixed")
-GAMMA_POLICIES = ("one_over_L", "fixed")
+# each run config key as to_dict writes it and from_dict reads it:
+# key -> (RunConfig field, JSON type); the "init" object holds INIT_KEYS
+RUN_KEYS = {
+    "N_o": ("n_outer", int), "N_i": ("n_inner", int), "R": ("R", float),
+    "sigma": ("sigma", float), "beta": ("beta", float),
+    "gamma": ("gamma", float), "theorem2_preset": ("theorem2_preset", bool),
+    "early_exit": ("early_exit", bool), "seed": ("seed", int),
+}
+INIT_KEYS = {"W_scale": ("init_w_scale", float),
+             "theta_scale": ("init_theta_scale", float)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All SGD-GD hyperparameters.
+    """All SGD-GD hyperparameters, with the only defaults they have.
 
     R is the ball *diameter* parameter: the feasible set for theta is the
     origin-centred ball of radius R/2.  sigma is the total noise scale, split
-    evenly over coordinates so that E||xi||^2 = sigma^2.
+    evenly over coordinates so that E||xi||^2 = sigma^2.  A beta or gamma
+    of None is derived (see the module docstring).
     """
 
-    n_outer: int
-    n_inner: int
+    n_outer: int = 50
+    n_inner: int = 20
     R: float = 4.0
     sigma: float = 0.0
-    beta_policy: str = "constant_opt"
     beta: Optional[float] = None
-    gamma_policy: str = "one_over_L"
     gamma: Optional[float] = None
     theorem2_preset: bool = False
     early_exit: bool = False
@@ -82,64 +89,39 @@ class RunConfig:
             raise ConfigError(f"R must be positive, got {self.R}")
         if self.sigma < 0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
-        if self.beta_policy not in BETA_POLICIES:
-            raise ConfigError(f"unknown beta_policy {self.beta_policy!r}")
-        if self.gamma_policy not in GAMMA_POLICIES:
-            raise ConfigError(f"unknown gamma_policy {self.gamma_policy!r}")
-        if self.beta_policy == "fixed" and (self.beta is None or self.beta <= 0):
-            raise ConfigError("fixed beta policy needs beta > 0")
-        if self.gamma_policy == "fixed" and (self.gamma is None or self.gamma <= 0):
-            raise ConfigError("fixed gamma policy needs gamma > 0")
-        # a step size the policy would not use is an error, not a no-op
-        if self.beta_policy != "fixed" and self.beta is not None:
-            raise ConfigError(f"beta={self.beta} needs the fixed beta policy")
-        if self.gamma_policy != "fixed" and self.gamma is not None:
-            raise ConfigError(f"gamma={self.gamma} needs the fixed gamma policy")
-        if self.theorem2_preset and self.beta_policy != "constant_opt":
-            raise ConfigError("theorem2_preset requires the constant_opt beta policy")
-        if self.theorem2_preset and self.gamma_policy != "one_over_L":
-            raise ConfigError("theorem2_preset requires the one_over_L gamma policy")
+        for name in ("beta", "gamma"):
+            step = getattr(self, name)
+            if step is not None and not step > 0:
+                raise ConfigError(f"{name} must be positive, got {step}")
+            if step is not None and self.theorem2_preset:
+                raise ConfigError(f"theorem2_preset derives {name}; "
+                                  f"{name}={step} cannot be given with it")
         if self.theorem2_preset and self.n_outer < 1:
             raise ConfigError("theorem2_preset needs n_outer >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "N_o": self.n_outer, "N_i": self.n_inner, "R": self.R,
-            "sigma": self.sigma,
-            "beta_policy": self.beta_policy, "beta": self.beta,
-            "gamma_policy": self.gamma_policy, "gamma": self.gamma,
-            "theorem2_preset": self.theorem2_preset,
-            "early_exit": self.early_exit, "seed": self.seed,
-            "init": {"W_scale": self.init_w_scale,
-                     "theta_scale": self.init_theta_scale},
-        }
+        def section(keys):
+            return {key: getattr(self, name) for key, (name, _) in keys.items()}
+        return {**section(RUN_KEYS), "init": section(INIT_KEYS)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """RunConfig from its to_dict form, as read from a JSON config; a
-        value of the wrong JSON type raises FormatError naming its key."""
-        for key in ("N_o", "N_i"):
-            if key not in data:
-                raise ConfigError(f"run config is missing key {key!r}")
+        """RunConfig from its to_dict form, as read from a JSON config.  A
+        missing key keeps its default, and a null is taken only where the
+        default is None.  An unknown key raises ConfigError, and a value
+        of the wrong JSON type FormatError, each naming the key."""
+        check_keys(data, [*RUN_KEYS, "init"], "run config")
+        init = json_field(dict, data.get("init", {}), "run config key 'init'")
+        check_keys(init, INIT_KEYS, "run config 'init'")
+        defaults = {f.name: f.default for f in fields(cls)}
 
-        def get(kind, key, default=None, section=data):
-            return json_field(kind, section.get(key, default),
-                              f"run config key {key!r}")
+        def read(section, keys):
+            return {name: (None if section[key] is None and defaults[name] is None
+                           else json_field(kind, section[key],
+                                           f"run config key {key!r}"))
+                    for key, (name, kind) in keys.items() if key in section}
 
-        init = get(dict, "init", {})
-        return cls(
-            n_outer=get(int, "N_o"), n_inner=get(int, "N_i"),
-            R=get(float, "R", 4.0), sigma=get(float, "sigma", 0.0),
-            beta_policy=data.get("beta_policy", "constant_opt"),
-            beta=None if data.get("beta") is None else get(float, "beta"),
-            gamma_policy=data.get("gamma_policy", "one_over_L"),
-            gamma=None if data.get("gamma") is None else get(float, "gamma"),
-            theorem2_preset=get(bool, "theorem2_preset", False),
-            early_exit=get(bool, "early_exit", False),
-            seed=get(int, "seed", 0),
-            init_w_scale=get(float, "W_scale", 1.0, init),
-            init_theta_scale=get(float, "theta_scale", 1.0, init),
-        )
+        return cls(**read(data, RUN_KEYS), **read(init, INIT_KEYS))
 
 
 @dataclass
@@ -215,7 +197,7 @@ def phase_noise(rng: np.random.Generator, sigma: float, steps: int,
 
 def _resolve_beta(cfg: RunConfig, l_theta: float) -> float:
     cap = np.inf if l_theta == 0.0 else 1.0 / (2.0 * l_theta)
-    if cfg.beta_policy == "fixed":
+    if cfg.beta is not None:
         if cfg.beta > cap:
             raise ConfigError(
                 f"beta={cfg.beta} violates the step bound 1/(2 L_theta)={cap}")
@@ -343,10 +325,9 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
         cfg = replace(cfg, n_inner=n_outer, sigma=1.0 / np.sqrt(n_outer))
 
     L_ball = lipschitz_ball_bound(a, ds, cfg.R)
-    if cfg.gamma_policy == "one_over_L":
+    gamma = cfg.gamma
+    if gamma is None:
         gamma = 1.0 if L_ball == 0.0 else 1.0 / L_ball
-    else:
-        gamma = cfg.gamma
     _check_gamma(gamma, L_ball)
 
     W = rng.normal(0.0, cfg.init_w_scale / np.sqrt(d), size=(d, d))

@@ -1,11 +1,14 @@
 """End-to-end checks of the command-line harness."""
 
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twolayer_opt import FormatError, builtin_activation, cli, dataset, model
+from twolayer_opt import (FormatError, RunConfig, builtin_activation, cli,
+                          dataset, model)
 from twolayer_opt.cli import main, read_trajectory_csv
 
 
@@ -16,7 +19,7 @@ def run_cli(*argv):
 class TestGenerate:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "data"
-        code = run_cli("generate", "--d", "3", "--n-samples", "9", "--seed", "7",
+        code = run_cli("generate", "--d", "3", "--n-samples", "9", "--data-seed", "7",
                        "--out", str(out), "--name", "demo")
         assert code == 0
         ds = dataset.load(out / "demo.csv")
@@ -25,7 +28,7 @@ class TestGenerate:
 
     def test_teacher_labels_match_forward(self, tmp_path):
         out = tmp_path / "data"
-        run_cli("generate", "--d", "2", "--n-samples", "4", "--seed", "3",
+        run_cli("generate", "--d", "2", "--n-samples", "4", "--data-seed", "3",
                 "--activation", "tanh", "--out", str(out), "--name", "t")
         ds = dataset.load(out / "t.csv")
         teacher = ds.provenance.teacher
@@ -76,7 +79,7 @@ class TestGenerate:
 
 class TestTrain:
     def _generate(self, tmp_path):
-        run_cli("generate", "--d", "3", "--n-samples", "9", "--seed", "7",
+        run_cli("generate", "--d", "3", "--n-samples", "9", "--data-seed", "7",
                 "--out", str(tmp_path), "--name", "demo")
         return tmp_path / "demo.csv"
 
@@ -171,10 +174,20 @@ class TestTrain:
         ({"activation": ["sigmoid"]}, "'activation'"),
         ({"dataset": {"path": 5}}, "'dataset.path'"),
         ({"name": None}, "'name'"),
+        ({"activation": "swish"}, "'activation'"),
+        # a key that nothing reads
+        ({"run": {"N_o": 2, "N_i": 2, "n_outer": 3}}, "'n_outer'"),
+        ({"repititions": 2}, "'repititions'"),
+        ({"dataset": {"d": 3, "N": 9, "noise": 0.1}}, "'noise'"),
+        ({"run": {"N_o": 2, "N_i": 2, "init": {"w_scale": 2.0}}}, "'w_scale'"),
+        ({"run": {"N_o": 2, "N_i": 2, "beta_policy": "fixed"}}, "'beta_policy'"),
     ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
             "out_dir", "list", "run.early_exit", "run.theorem2_preset",
             "run.early_exit_number", "run.N_o_fraction", "repetitions_bool",
-            "run.sigma_bool", "activation_list", "dataset.path", "name"])
+            "run.sigma_bool", "activation_list", "dataset.path", "name",
+            "activation_unknown", "unknown.run.n_outer", "unknown.repititions",
+            "unknown.dataset.noise", "unknown.run.init.w_scale",
+            "unknown.run.beta_policy"])
     def test_config_wrong_json_type(self, tmp_path, capsys, change, key):
         spec = {"dataset": {"d": 3, "N": 9},
                 "run": {"N_o": 2, "N_i": 2}, "repetitions": 1}
@@ -308,6 +321,45 @@ class TestPlotdata:
         col = header.index("f_mean")
         got = np.array([float(line.split(",")[col]) for line in lines[1:]])
         np.testing.assert_allclose(got, stacked.mean(axis=0), rtol=1e-15)
+
+
+def test_readme_config_loads(tmp_path):
+    # the README's example config is the documented schema
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(block)
+    spec = cli._load_spec(argparse.Namespace(config=str(cfg_path), activation=None))
+    RunConfig.from_dict(spec.run)
+    assert spec.dataset["d"] == 3 and spec.repetitions == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lipschitz", "--trials", "0"],
+    ["verify", "gradcheck", "--instances", "0"],
+    ["verify", "rank", "--trials", "0"],
+    ["verify", "theorem1", "--seeds", "0"],
+    ["verify", "theorem2", "--seeds", "0"],
+    ["train", "--reps", "0"],
+    # a flag on a subcommand that does not read it
+    ["plotdata", "--run-dir", ".", "--seed", "1"],
+    ["plotdata", "--run-dir", ".", "--activation", "tanh"],
+    ["plotdata", "--run-dir", ".", "--config", "c.json"],
+    ["plotdata", "--run-dir", ".", "--rank-tol", "0.5"],
+    ["train", "--d", "3", "--n-samples", "9", "--rank-tol", "0.9"],
+    ["generate", "--d", "3", "--n-samples", "9", "--rank-tol", "0.9"],
+    ["generate", "--d", "3", "--n-samples", "9", "--seed", "7"],
+], ids=["lipschitz_trials_0", "gradcheck_instances_0", "rank_trials_0",
+        "theorem1_seeds_0", "theorem2_seeds_0", "train_reps_0",
+        "plotdata_seed", "plotdata_activation", "plotdata_config",
+        "plotdata_rank_tol", "train_rank_tol", "generate_rank_tol",
+        "generate_seed"])
+def test_parser_rejects(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and argv[-2] in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "diagnose", "verify",

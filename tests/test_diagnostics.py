@@ -199,6 +199,7 @@ class TestCertify:
         for _ in range(20):
             p, ds = random_instance(rng, d=3, n=3, N=9)
             cert = certify(p, SIG, ds)
+            assert cert.loss_value == model.loss(p, SIG, ds)
             if cert.verdict == "certified_near_global":
                 assert cert.residual_norm <= cert.certified_bound * (1 + 1e-8)
 

@@ -130,7 +130,7 @@ class TestInnerSgd:
         p, ds = random_instance(rng, d=3, n=3, N=9)
         l_theta = lipschitz_estimates(p, SIG, ds).l_theta_exact
         cfg = RunConfig(n_outer=1, n_inner=5, R=4.0, sigma=0.0,
-                        beta_policy="fixed", beta=1.0 / l_theta)  # > 1/(2L)
+                        beta=1.0 / l_theta)  # > 1/(2L)
         with pytest.raises(ConfigError):
             inner_sgd(p, SIG, ds, cfg, np.random.default_rng(0))
 
@@ -236,24 +236,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(n_outer=1, n_inner=1, sigma=-1.0)
         with pytest.raises(ConfigError):
-            RunConfig(n_outer=1, n_inner=1, beta_policy="fixed")
+            RunConfig(n_outer=1, n_inner=1, beta=0.0)
         with pytest.raises(ConfigError):
-            RunConfig(n_outer=1, n_inner=1, theorem2_preset=True,
-                      beta_policy="fixed", beta=0.1)
-        # a step size its policy would not use
+            RunConfig(n_outer=1, n_inner=1, gamma=-0.1)
+        # the preset derives both step sizes
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"N_o": 3, "N_i": 2, "gamma": 1e9, "beta": 1e9})
+            RunConfig(n_outer=1, n_inner=1, theorem2_preset=True, beta=0.1)
         with pytest.raises(ConfigError):
-            RunConfig(n_outer=1, n_inner=1, beta=0.1)
-        with pytest.raises(ConfigError):
-            RunConfig(n_outer=1, n_inner=1, theorem2_preset=True,
-                      gamma_policy="fixed", gamma=0.1)
+            RunConfig(n_outer=1, n_inner=1, theorem2_preset=True, gamma=0.1)
+        # a key that nothing reads, such as the old step-size policies
+        with pytest.raises(ConfigError, match="'beta_policy'"):
+            RunConfig.from_dict({"N_o": 3, "N_i": 2, "beta_policy": "fixed"})
 
     def test_dict_round_trip(self):
-        cfg = RunConfig(n_outer=5, n_inner=7, R=2.0, sigma=0.3,
-                        gamma_policy="fixed", gamma=0.05, early_exit=True,
-                        seed=9, init_w_scale=0.5)
+        cfg = RunConfig(n_outer=5, n_inner=7, R=2.0, sigma=0.3, beta=0.01,
+                        gamma=0.05, early_exit=True, seed=9, init_w_scale=0.5)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig.from_dict({}) == RunConfig()
 
 
 class TestRun:
@@ -334,8 +333,7 @@ class TestRun:
     def test_bad_fixed_gamma(self):
         ds = make_realizable(3, 9, seed=4)
         L = lipschitz_ball_bound(SIG, ds, 4.0)
-        cfg = RunConfig(n_outer=2, n_inner=2, gamma_policy="fixed",
-                        gamma=2.5 / L)
+        cfg = RunConfig(n_outer=2, n_inner=2, gamma=2.5 / L)
         with pytest.raises(ConfigError):
             run(SIG, ds, cfg)
 
