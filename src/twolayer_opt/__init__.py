@@ -2,10 +2,8 @@
 optimality certificates."""
 
 from .activations import (ACTIVATION_NAMES, PAPER_ACTIVATIONS,
-                          ActivationFunction, builtin_activation, c1_probe,
-                          vector_apply)
-from .dataset import (Dataset, Provenance, Teacher, generate_inputs,
-                      label_with_teacher, make_realizable, random_teacher)
+                          ActivationFunction, builtin_activation, c1_probe)
+from .dataset import Dataset, Provenance, generate_inputs, make_realizable
 from .diagnostics import (GlobalCertificate, LipschitzEstimate, RankReport,
                           certify, collection_rank, lipschitz_ball_bound,
                           lipschitz_estimates, perturbation_rank_trial,
@@ -13,8 +11,9 @@ from .diagnostics import (GlobalCertificate, LipschitzEstimate, RankReport,
 from .errors import (ConfigError, FormatError, IoError, NumericsError,
                      ShapeError)
 from .model import (NetworkParams, StationaritySystem, forward, grad_theta,
-                    grad_W, loss, residuals, stationarity_system)
+                    grad_W, loss, random_params, residuals,
+                    stationarity_system)
 from .optimizer import (RunConfig, TrajectoryRecord, inner_sgd, outer_step,
-                        prox_ball, run, solve_theta_star)
+                        project_ball, prox_ball, run, solve_theta_star)
 
 __version__ = "0.1.0"

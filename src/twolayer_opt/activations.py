@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import NumericsError
 
 _SQRT2 = np.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
@@ -253,14 +252,6 @@ def builtin_activation(name: str) -> ActivationFunction:
         raise NameError(
             f"unknown activation {name!r}; choose one of {sorted(_BUILTINS)}"
         ) from None
-
-
-def vector_apply(a: ActivationFunction, z) -> np.ndarray:
-    """Apply a.eval componentwise to a 1-d vector."""
-    z = np.asarray(z, dtype=float)
-    if z.size and not np.all(np.isfinite(z)):
-        raise NumericsError(f"non-finite input to activation {a.name!r}")
-    return np.asarray(a.eval(z), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,10 @@ class ExperimentSpec:
                 f"config key 'activation' must be one of "
                 f"{', '.join(ACTIVATION_NAMES)}, got {spec.activation!r}")
         files.check_keys(spec.dataset, ["path", *RECIPE_KEYS], "config 'dataset'")
+        recipe = [key for key in spec.dataset if key != "path"]
+        if "path" in spec.dataset and recipe:
+            raise ConfigError(f"config 'dataset' holds both 'path' and recipe "
+                              f"keys {recipe}; give a file or a recipe")
         path = files.json_field(str, spec.dataset.get("path", ""),
                                 "config key 'dataset.path'")
         if path and not Path(path).exists():
@@ -102,20 +106,31 @@ class ExperimentSpec:
         return spec
 
 
-def _load_spec(args) -> ExperimentSpec:
-    """The --config spec (all defaults without one), with --activation,
-    when given, in place of the config's activation."""
+def _load_spec(args, activation: str = "sigmoid") -> ExperimentSpec:
+    """The --config spec (all defaults without one).  Its activation is
+    --activation when given, else the config's, else `activation`."""
     cfg = files.read_json(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {args.config} is not a JSON object")
     spec = ExperimentSpec.from_dict(cfg)
-    return replace(spec, activation=args.activation) if args.activation else spec
+    return replace(spec, activation=args.activation
+                   or cfg.get("activation", activation))
+
+
+def _file_or_recipe(path, args) -> None:
+    """A dataset read from `path` takes no dataset recipe flag."""
+    flags = [flag for flag in DATASET_FLAGS
+             if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if path and flags:
+        raise ConfigError(f"the dataset is read from {path}, so "
+                          f"{', '.join(flags)} cannot describe it")
 
 
 def _dataset_recipe(args, spec: ExperimentSpec) -> dict:
     """make_realizable arguments: each flag given, else the spec's recipe
     value, else the RECIPE_KEYS default.  A null is taken only where the
     default is None."""
+    _file_or_recipe(spec.dataset.get("path"), args)
     recipe = {}
     for key, (dest, kind, default) in RECIPE_KEYS.items():
         value = getattr(args, dest)
@@ -133,6 +148,7 @@ def _dataset_from_args(args, spec: ExperimentSpec):
     """Dataset from --data path, the spec's dataset entry, or inline flags."""
     path = args.data or spec.dataset.get("path")
     if path:
+        _file_or_recipe(path, args)
         return ds_mod.load(path), str(path)
     recipe = _dataset_recipe(args, spec)
     ds = ds_mod.make_realizable(activation=spec.activation, **recipe)
@@ -213,16 +229,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    spec = _load_spec(args)
+    params, activation = (model.load_params(args.params) if args.params
+                          else (None, "sigmoid"))
+    spec = _load_spec(args, activation)
+    if args.params and spec.activation != activation:
+        raise ConfigError(f"--params {args.params} holds a {activation} network, "
+                          f"but the activation given is {spec.activation}")
     ds = ds_mod.load(args.data)
     act = builtin_activation(spec.activation)
-    if args.params:
-        params, _ = model.load_params(args.params)
-    else:
-        rng = np.random.default_rng(0 if args.seed is None else args.seed)
-        d = ds.dim
-        params = model.NetworkParams(
-            rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)), rng.normal(size=d))
+    if params is None:
+        params = model.random_params(
+            np.random.default_rng(0 if args.seed is None else args.seed), ds.dim)
     if args.out:
         (out_path,) = files.output_paths(
             args.out, [f"{args.name or 'diagnose'}.json"], args.force)

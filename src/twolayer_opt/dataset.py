@@ -1,9 +1,10 @@
 """Dataset generation and persistence.
 
 Inputs u_i are drawn i.i.d. from a continuous distribution (uniform on
-[-1, 1]^d by default, or standard Gaussian); labels may come from a teacher
-network so that the global optimum of the training loss is exactly zero
-(plus optional Gaussian label noise for non-realizable instances).
+[-1, 1]^d by default, or standard Gaussian).  make_realizable labels them
+with a random square teacher network (model.random_params), so that the
+global optimum of the training loss is exactly zero, plus optional Gaussian
+label noise for non-realizable instances.
 
 On-disk format (see the files module): one CSV row per sample, d input
 columns then the label, bit-exact through a round trip, and a JSON sidecar
@@ -20,7 +21,6 @@ import numpy as np
 from . import files, model
 from .activations import builtin_activation
 from .errors import NumericsError, ShapeError
-from .model import NetworkParams
 
 DISTRIBUTIONS = ("uniform_cube", "std_gaussian")
 
@@ -30,14 +30,6 @@ class Provenance:
     distribution: str
     seed: Optional[int] = None
     teacher: Optional[dict] = None
-
-
-@dataclass(frozen=True)
-class Teacher:
-    """Label generator: a fixed network plus its activation name."""
-
-    params: NetworkParams
-    activation: str
 
 
 @dataclass(frozen=True)
@@ -83,56 +75,26 @@ def generate_inputs(d: int, N: int, dist: str = "uniform_cube",
     raise ValueError(f"unknown distribution {dist!r}; choose from {DISTRIBUTIONS}")
 
 
-def _teacher_description(teacher: Teacher) -> dict:
-    return {
-        "activation": teacher.activation,
-        "n": teacher.params.n,
-        "d": teacher.params.d,
-        "W": teacher.params.W.tolist(),
-        "theta": teacher.params.theta.tolist(),
-    }
-
-
-def label_with_teacher(inputs, teacher: Teacher, noise_std: float = 0.0,
-                       noise_seed: Optional[int] = None,
-                       distribution: str = "unknown",
-                       seed: Optional[int] = None) -> Dataset:
-    """Label inputs with the teacher's forward map (optionally noisy)."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != teacher.params.d:
-        raise ShapeError(
-            f"inputs of shape {inputs.shape} incompatible with teacher d={teacher.params.d}")
-    act = builtin_activation(teacher.activation)
-    labels = np.array([model.forward(teacher.params, act, u) for u in inputs])
-    if noise_std > 0.0:
-        labels = labels + np.random.default_rng(noise_seed).normal(
-            0.0, noise_std, size=labels.shape)
-    desc = _teacher_description(teacher)
-    if noise_std > 0.0:
-        desc["label_noise_std"] = noise_std
-        desc["label_noise_seed"] = noise_seed
-    return Dataset(inputs, labels, Provenance(distribution, seed, desc))
-
-
-def random_teacher(d: int, activation: str = "sigmoid", seed: int = 0,
-                   w_scale: float = 1.0, theta_scale: float = 1.0) -> Teacher:
-    """A random square teacher network (labels then make f* = 0)."""
-    rng = np.random.default_rng(seed)
-    W = rng.normal(0.0, w_scale / np.sqrt(d), size=(d, d))
-    theta = rng.normal(0.0, theta_scale, size=d)
-    return Teacher(NetworkParams(W, theta), activation)
-
-
 def make_realizable(d: int, N: int, dist: str = "uniform_cube", seed: int = 0,
                     activation: str = "sigmoid", teacher_seed: Optional[int] = None,
                     noise_std: float = 0.0) -> Dataset:
-    """Convenience: random teacher + i.i.d. inputs + teacher labels."""
+    """N inputs from generate_inputs(d, N, dist, seed), labeled by a random
+    square teacher, model.random_params(default_rng(teacher_seed), d) with
+    teacher_seed defaulting to seed + 1, so that f* = 0.  noise_std > 0 adds
+    N(0, noise_std^2) label noise drawn from seed + 2.  The provenance's
+    teacher entry records the network and the noise."""
     teacher_seed = seed + 1 if teacher_seed is None else teacher_seed
     inputs = generate_inputs(d, N, dist, seed)
-    teacher = random_teacher(d, activation, teacher_seed)
-    return label_with_teacher(inputs, teacher, noise_std=noise_std,
-                              noise_seed=seed + 2 if noise_std > 0 else None,
-                              distribution=dist, seed=seed)
+    teacher = model.random_params(np.random.default_rng(teacher_seed), d)
+    act = builtin_activation(activation)
+    labels = np.array([model.forward(teacher, act, u) for u in inputs])
+    desc = {"activation": activation, "n": d, "d": d,
+            "W": teacher.W.tolist(), "theta": teacher.theta.tolist()}
+    if noise_std > 0.0:
+        labels = labels + np.random.default_rng(seed + 2).normal(
+            0.0, noise_std, size=labels.shape)
+        desc.update(label_noise_std=noise_std, label_noise_seed=seed + 2)
+    return Dataset(inputs, labels, Provenance(dist, seed, desc))
 
 
 def save(ds: Dataset, path) -> None:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import files
-from .activations import ActivationFunction
+from .activations import ACTIVATION_NAMES, ActivationFunction
 from .errors import FormatError, NumericsError, ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,6 +59,14 @@ class NetworkParams:
     @property
     def d(self) -> int:
         return self.W.shape[1]
+
+
+def random_params(rng: np.random.Generator, d: int, w_scale: float = 1.0,
+                  theta_scale: float = 1.0) -> NetworkParams:
+    """A random square network: W ~ N(0, w_scale^2/d) (d x d), then
+    theta ~ N(0, theta_scale^2) (d,), drawn from rng in that order."""
+    W = rng.normal(0.0, w_scale / np.sqrt(d), size=(d, d))
+    return NetworkParams(W, rng.normal(0.0, theta_scale, size=d))
 
 
 @dataclass(frozen=True)
@@ -170,5 +178,7 @@ def load_params(path):
     n, d = meta["n"], meta["d"]
     if n < 1:
         raise FormatError(f"sidecar promises n={n} hidden units, need n >= 1")
+    if meta["activation"] not in ACTIVATION_NAMES:
+        raise FormatError(f"sidecar names unknown activation {meta['activation']!r}")
     rows = files.read_table(path, lambda i: d if i < n else n, rows=n + 1)
     return NetworkParams(np.array(rows[:n]), np.array(rows[n])), meta["activation"]

@@ -4,7 +4,9 @@ Each outer iteration runs an inner stochastic-gradient phase on the convex
 theta-subproblem (prox steps onto the ball ||theta|| <= R/2, with
 beta-weighted iterate averaging and optional early exit once the objective
 improves on the incoming theta), then takes a single full-gradient descent
-step on the hidden layer W.
+step on the hidden layer W (outer_step).  A run starts from
+model.random_params with theta projected into the ball; project_ball is the
+one projection onto the ball, and prox_ball the prox step built on it.
 
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
@@ -37,11 +39,11 @@ import numpy as np
 
 from .activations import ActivationFunction
 from .diagnostics import (column_sigma_extremes, lipschitz_ball_bound,
-                          lipschitz_estimates, theta_smoothness)
+                          theta_smoothness)
 from .errors import ConfigError, NumericsError, ShapeError
 from .files import check_keys, json_field
 from .model import (NetworkParams, _features, grad_W, loss, objective,
-                    stationarity_system, theta_gradient)
+                    random_params, stationarity_system, theta_gradient)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -265,20 +267,12 @@ def _check_gamma(gamma: float, lipschitz_bound: float) -> None:
         raise ConfigError(f"gamma={gamma} outside (0, 2/L) with L={lipschitz_bound}")
 
 
-def outer_step(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
-               gamma: float, lipschitz_bound: Optional[float] = None,
-               grad: Optional[np.ndarray] = None) -> NetworkParams:
-    """One full-gradient descent step on W (theta unchanged).
-
-    gamma must satisfy 0 < gamma < 2/L; by default L is the data-dependent
-    W-smoothness bound at the current theta.  grad, when given, is
-    grad_W f at p, already computed by the caller.
-    """
-    if lipschitz_bound is None:
-        lipschitz_bound = lipschitz_estimates(p, a, ds).l_w_bound
+def outer_step(p: NetworkParams, grad: np.ndarray, gamma: float,
+               lipschitz_bound: float) -> NetworkParams:
+    """One full-gradient descent step W - gamma grad on the hidden layer
+    (theta unchanged), where grad is grad_W f at p and gamma must satisfy
+    0 < gamma < 2/L for the W-smoothness bound L = lipschitz_bound."""
     _check_gamma(gamma, lipschitz_bound)
-    if grad is None:
-        grad = grad_W(p, a, ds)
     return replace(p, W=p.W - gamma * grad)
 
 
@@ -298,7 +292,7 @@ def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
         return np.zeros(p.n)
     eta = 1.0 / l_theta
     lstsq = np.linalg.lstsq(H, v, rcond=None)[0]
-    theta = prox_ball(lstsq, np.zeros_like(lstsq), radius)
+    theta = project_ball(lstsq, radius)
     for _ in range(max_iter):
         nxt = prox_ball(theta, eta * theta_gradient(H, v, theta), radius)
         if np.linalg.norm(theta - nxt) / eta <= tol:
@@ -317,7 +311,6 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
     evaluated at (W_k, theta_{k+1}), plus a final row for the returned
     iterate.
     """
-    d = ds.dim
     rng = np.random.default_rng(cfg.seed)
 
     n_outer = cfg.n_outer
@@ -330,10 +323,8 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
         gamma = 1.0 if L_ball == 0.0 else 1.0 / L_ball
     _check_gamma(gamma, L_ball)
 
-    W = rng.normal(0.0, cfg.init_w_scale / np.sqrt(d), size=(d, d))
-    theta0 = rng.normal(0.0, cfg.init_theta_scale, size=d)
-    theta = prox_ball(theta0, np.zeros(d), cfg.R / 2.0)
-    params = NetworkParams(W, theta)
+    params = random_params(rng, ds.dim, cfg.init_w_scale, cfg.init_theta_scale)
+    params = replace(params, theta=project_ball(params.theta, cfg.R / 2.0))
     f_init = loss(params, a, ds)
 
     rows = []   # one value per TRAJECTORY_COLUMNS entry, in that order
@@ -356,7 +347,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
         theta, summary = inner_sgd(params, a, ds, cfg, rng)
         params = replace(params, theta=theta)
         g = record(k, params, summary.steps, summary.final_f)
-        params = outer_step(params, a, ds, gamma, L_ball, grad=g)
+        params = outer_step(params, g, gamma, L_ball)
 
     record(n_outer, params, 0, None)
 

@@ -84,8 +84,7 @@ def lipschitz_W(activations, rng, samples) -> tuple:
     for i in range(samples):
         act = activations[i % len(activations)]
         n, d, ds = _lipschitz_shape(rng)
-        theta = rng.normal(size=n)
-        theta = theta / max(1.0, np.linalg.norm(theta) / 2.0)
+        theta = optimizer.project_ball(rng.normal(size=n), 2.0)
         W1, W2 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
         p1 = model.NetworkParams(W1, theta)
         bound = diagnostics.lipschitz_estimates(p1, act, ds).l_w_bound
@@ -124,10 +123,8 @@ def theorem1(act, rng, ds, first_seed, seeds, inner_counts) -> list:
     random (W, theta0) drawn from rng, run with generators first_seed + s
     for s < seeds, against K0 = ||theta0 - theta*||^2 / (N_i beta) +
     sigma^2 beta."""
-    d = ds.dim
-    W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
-    theta0 = rng.normal(size=d)
-    theta0 = theta0 / max(1.0, np.linalg.norm(theta0) / (R / 2))
+    drawn = model.random_params(rng, ds.dim)
+    W, theta0 = drawn.W, optimizer.project_ball(drawn.theta, R / 2)
     params = model.NetworkParams(W, theta0)
     theta_star = optimizer.solve_theta_star(params, act, ds, R / 2)
     f_star = model.loss(model.NetworkParams(W, theta_star), act, ds)

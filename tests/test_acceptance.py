@@ -9,9 +9,10 @@ from dataclasses import replace
 import numpy as np
 from conftest import rel_err
 
-from twolayer_opt import (NetworkParams, RunConfig, builtin_activation, certify,
+from twolayer_opt import (RunConfig, builtin_activation, certify,
                           collection_rank, inner_sgd, make_realizable, model,
-                          perturbation_rank_trial, prox_ball, run, verify)
+                          outer_step, perturbation_rank_trial, project_ball,
+                          prox_ball, random_params, run, verify)
 from twolayer_opt.diagnostics import lipschitz_ball_bound
 
 SIG = builtin_activation("sigmoid")
@@ -139,10 +140,8 @@ def test_criterion_10_global_certificate():
     R = 4.0
     L = lipschitz_ball_bound(SIG, ds, R)
     gamma = 1.0 / L
-    W = rng.normal(0.0, 1.0 / np.sqrt(3), size=(3, 3))
-    theta = rng.normal(size=3)
-    theta = theta / max(1.0, np.linalg.norm(theta) / (R / 2))
-    params = NetworkParams(W, theta)
+    params = random_params(rng, 3)
+    params = replace(params, theta=project_ball(params.theta, R / 2))
     cfg = RunConfig(n_outer=1, n_inner=40, R=R, sigma=0.0)
 
     grad_norm = np.inf
@@ -153,7 +152,7 @@ def test_criterion_10_global_certificate():
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= 1e-6:
             break
-        params = replace(params, W=params.W - gamma * g)
+        params = outer_step(params, g, gamma, L)
 
     cert = certify(params, SIG, ds)
     blob = cert.to_dict()

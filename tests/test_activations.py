@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twolayer_opt import (ACTIVATION_NAMES, PAPER_ACTIVATIONS, NumericsError,
-                          builtin_activation, c1_probe, vector_apply)
+from twolayer_opt import (ACTIVATION_NAMES, PAPER_ACTIVATIONS,
+                          builtin_activation, c1_probe)
 
 # kinked at 0: exclude a neighbourhood of the kink from derivative grids
 KINKED = {"elliot", "elliot_symmetric", "relu"}
@@ -57,16 +57,6 @@ def test_erf_scaling_against_quadrature():
         expected, _ = quad(lambda t: 2.0 / np.sqrt(np.pi) * np.exp(-0.5 * t * t), 0.0, x)
         assert a.eval(x) == pytest.approx(expected, rel=1e-12)
     assert a.value_bound == pytest.approx(np.sqrt(2.0))
-
-
-def test_vector_apply():
-    sig = builtin_activation("sigmoid")
-    np.testing.assert_allclose(vector_apply(sig, [0.0, 0.0]), [0.5, 0.5])
-    assert vector_apply(sig, []).shape == (0,)
-    gauss = builtin_activation("gaussian")
-    np.testing.assert_allclose(vector_apply(gauss, [0.0, 1.0]), [1.0, np.exp(-1.0)])
-    with pytest.raises(NumericsError):
-        vector_apply(sig, [0.0, np.nan])
 
 
 @pytest.mark.parametrize("name", ACTIVATION_NAMES)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twolayer_opt import (FormatError, RunConfig, builtin_activation, cli,
-                          dataset, model)
+from twolayer_opt import (FormatError, RunConfig, builtin_activation, certify,
+                          cli, dataset, model)
 from twolayer_opt.cli import main, read_trajectory_csv
 
 
@@ -181,13 +181,15 @@ class TestTrain:
         ({"dataset": {"d": 3, "N": 9, "noise": 0.1}}, "'noise'"),
         ({"run": {"N_o": 2, "N_i": 2, "init": {"w_scale": 2.0}}}, "'w_scale'"),
         ({"run": {"N_o": 2, "N_i": 2, "beta_policy": "fixed"}}, "'beta_policy'"),
+        # a dataset from a file and a recipe at once
+        ({"dataset": {"path": "data.csv", "d": 3}}, "'path'"),
     ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
             "out_dir", "list", "run.early_exit", "run.theorem2_preset",
             "run.early_exit_number", "run.N_o_fraction", "repetitions_bool",
             "run.sigma_bool", "activation_list", "dataset.path", "name",
             "activation_unknown", "unknown.run.n_outer", "unknown.repititions",
             "unknown.dataset.noise", "unknown.run.init.w_scale",
-            "unknown.run.beta_policy"])
+            "unknown.run.beta_policy", "dataset.path_and_recipe"])
     def test_config_wrong_json_type(self, tmp_path, capsys, change, key):
         spec = {"dataset": {"d": 3, "N": 9},
                 "run": {"N_o": 2, "N_i": 2}, "repetitions": 1}
@@ -210,6 +212,29 @@ class TestDiagnose:
         assert "sigma_min(D)" in out and "verdict" in out
         report = json.loads((tmp_path / "diag" / "diagnose.json").read_text())
         assert "certificate" in report and "sigma_min_D" in report["certificate"]
+
+    def test_params_activation(self, tmp_path, capsys):
+        run_cli("generate", "--d", "3", "--n-samples", "9",
+                "--out", str(tmp_path), "--name", "demo")
+        params = model.NetworkParams(np.eye(3), np.ones(3))
+        model.save_params(params, tmp_path / "p.csv", "tanh")
+        argv = ["diagnose", "--data", str(tmp_path / "demo.csv"),
+                "--params", str(tmp_path / "p.csv")]
+        assert run_cli(*argv, "--out", str(tmp_path / "diag")) == 0
+        report = json.loads((tmp_path / "diag" / "diagnose.json").read_text())
+        want = certify(params, builtin_activation("tanh"),
+                       dataset.load(tmp_path / "demo.csv"))
+        assert report["activation"] == "tanh"
+        assert report["certificate"]["sigma_min_D"] == want.sigma_min_D
+        assert run_cli(*argv, "--activation", "tanh") == 0
+
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text('{"activation": "sigmoid"}')
+        capsys.readouterr()
+        for clash in (["--activation", "sigmoid"], ["--config", str(cfg_path)]):
+            assert run_cli(*argv, *clash) == 2
+            err = capsys.readouterr().err
+            assert "tanh" in err and "sigmoid" in err and err.count("\n") == 1
 
 
     def test_sidecar_null_number(self, tmp_path, capsys):
@@ -349,12 +374,20 @@ def test_readme_config_loads(tmp_path):
     ["train", "--d", "3", "--n-samples", "9", "--rank-tol", "0.9"],
     ["generate", "--d", "3", "--n-samples", "9", "--rank-tol", "0.9"],
     ["generate", "--d", "3", "--n-samples", "9", "--seed", "7"],
+    # a dataset from a file and a recipe at once
+    ["train", "--data", "data.csv", "--noise-std", "0.1"],
+    ["train", "--config", "PATH_CONFIG", "--d", "3"],
+    ["generate", "--config", "PATH_CONFIG", "--d", "3", "--n-samples", "9"],
 ], ids=["lipschitz_trials_0", "gradcheck_instances_0", "rank_trials_0",
         "theorem1_seeds_0", "theorem2_seeds_0", "train_reps_0",
         "plotdata_seed", "plotdata_activation", "plotdata_config",
         "plotdata_rank_tol", "train_rank_tol", "generate_rank_tol",
-        "generate_seed"])
-def test_parser_rejects(tmp_path, monkeypatch, capsys, argv):
+        "generate_seed", "train_data_and_recipe", "train_config_path_and_recipe",
+        "generate_config_path_and_recipe"])
+def test_parser_rejects(tmp_path, tmp_path_factory, monkeypatch, capsys, argv):
+    config = tmp_path_factory.mktemp("config") / "path.json"   # names itself
+    config.write_text(json.dumps({"dataset": {"path": str(config)}}))
+    argv = [str(config) if arg == "PATH_CONFIG" else arg for arg in argv]
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 2
     out, err = capsys.readouterr()

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolayer_opt import (Dataset, FormatError, IoError, NetworkParams,
-                          Provenance, ShapeError, Teacher, builtin_activation,
-                          dataset, generate_inputs, label_with_teacher, model,
-                          random_teacher)
+                          Provenance, ShapeError, builtin_activation, dataset,
+                          generate_inputs, model, random_params)
 from twolayer_opt.cli import main
 
 
@@ -45,38 +44,37 @@ class TestGenerateInputs:
 
 
 class TestTeacherLabels:
-    def test_zero_output_layer(self):
-        teacher = Teacher(NetworkParams(np.eye(3), np.zeros(3)), "sigmoid")
-        ds = label_with_teacher(generate_inputs(3, 5, seed=0), teacher)
-        np.testing.assert_array_equal(ds.labels, np.zeros(5))
+    """make_realizable labels its inputs with the teacher that its
+    provenance records."""
 
-    def test_zero_hidden_layer_sigmoid(self):
-        d = 4
-        teacher = Teacher(NetworkParams(np.zeros((d, d)), np.ones(d)), "sigmoid")
-        ds = label_with_teacher(generate_inputs(d, 6, seed=0), teacher)
-        np.testing.assert_allclose(ds.labels, 0.5 * d)
-
-    def test_labels_match_model_forward(self, rng):
-        teacher = random_teacher(3, "tanh", seed=8)
-        inputs = generate_inputs(3, 12, "std_gaussian", seed=9)
-        ds = label_with_teacher(inputs, teacher)
-        act = builtin_activation("tanh")
+    def test_labels_match_model_forward(self):
+        ds = dataset.make_realizable(3, 12, "std_gaussian", seed=9,
+                                     activation="tanh")
+        teacher = ds.provenance.teacher
+        params = NetworkParams(np.array(teacher["W"]), np.array(teacher["theta"]))
+        act = builtin_activation(teacher["activation"])
+        assert teacher["activation"] == "tanh"
         for u, v in zip(ds.inputs, ds.labels):
-            assert v == model.forward(teacher.params, act, u)
+            assert v == model.forward(params, act, u)
 
-    def test_dim_mismatch(self):
-        teacher = random_teacher(3, seed=0)
-        with pytest.raises(ShapeError):
-            label_with_teacher(generate_inputs(2, 4, seed=0), teacher)
+    @pytest.mark.parametrize("teacher_seed, drawn_from", [(None, 8), (3, 3)])
+    def test_teacher_is_random_params(self, teacher_seed, drawn_from):
+        ds = dataset.make_realizable(4, 6, seed=7, teacher_seed=teacher_seed)
+        want = random_params(np.random.default_rng(drawn_from), 4)
+        np.testing.assert_array_equal(ds.provenance.teacher["W"], want.W)
+        np.testing.assert_array_equal(ds.provenance.teacher["theta"], want.theta)
 
     def test_label_noise(self):
-        teacher = random_teacher(3, seed=0)
-        inputs = generate_inputs(3, 10, seed=1)
-        clean = label_with_teacher(inputs, teacher)
-        noisy1 = label_with_teacher(inputs, teacher, noise_std=0.1, noise_seed=2)
-        noisy2 = label_with_teacher(inputs, teacher, noise_std=0.1, noise_seed=2)
+        clean = dataset.make_realizable(3, 10, seed=1)
+        noisy1 = dataset.make_realizable(3, 10, seed=1, noise_std=0.1)
+        noisy2 = dataset.make_realizable(3, 10, seed=1, noise_std=0.1)
         assert not np.array_equal(clean.labels, noisy1.labels)
         np.testing.assert_array_equal(noisy1.labels, noisy2.labels)
+        np.testing.assert_array_equal(
+            noisy1.labels,
+            clean.labels + np.random.default_rng(3).normal(0.0, 0.1, size=10))
+        assert noisy1.provenance.teacher["label_noise_std"] == 0.1
+        assert noisy1.provenance.teacher["label_noise_seed"] == 3
 
 
 class TestDatasetInvariants:

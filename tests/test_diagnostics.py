@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from twolayer_opt import (ConfigError, Dataset, NetworkParams, NumericsError,
                           Provenance, builtin_activation, certify,
                           collection_rank, diagnostics, lipschitz_estimates,
-                          model, perturbation_rank_trial, svd_rank)
+                          model, perturbation_rank_trial, project_ball,
+                          svd_rank)
 
 SIG = builtin_activation("sigmoid")
 
@@ -133,7 +134,7 @@ class TestLipschitzEstimates:
         R = 4.0
         for _ in range(20):
             p, ds = random_instance(rng, square=True)
-            theta = p.theta / max(1.0, np.linalg.norm(p.theta) / (R / 2))
+            theta = project_ball(p.theta, R / 2)
             est = lipschitz_estimates(NetworkParams(p.W, theta), SIG, ds)
             ball = diagnostics.lipschitz_ball_bound(SIG, ds, R)
             assert est.l_w_bound <= ball * (1 + 1e-12)

@@ -210,6 +210,13 @@ class TestParamsPersistence:
         with pytest.raises(FormatError, match=f"'{key}'"):
             model.load_params(path)
 
+    def test_sidecar_unknown_activation(self, tmp_path):
+        from twolayer_opt import FormatError
+        path = tmp_path / "params.csv"
+        model.save_params(NetworkParams(np.eye(2), np.ones(2)), path, "swish")
+        with pytest.raises(FormatError, match="'swish'"):
+            model.load_params(path)
+
     def test_sidecar_no_hidden_units(self, tmp_path):
         from twolayer_opt import FormatError
         path = tmp_path / "params.csv"

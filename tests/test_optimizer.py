@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from twolayer_opt import (ConfigError, NetworkParams, RunConfig,
                           builtin_activation, certify, inner_sgd,
                           make_realizable, model, optimizer, outer_step,
-                          prox_ball, run, solve_theta_star)
+                          project_ball, prox_ball, run, solve_theta_star)
 from twolayer_opt.diagnostics import lipschitz_ball_bound, lipschitz_estimates
 from twolayer_opt.optimizer import phase_noise
 
@@ -60,7 +60,7 @@ class TestProxBall:
 
             for _ in range(20):
                 z = rng.normal(size=n)
-                z = z / max(1.0, np.linalg.norm(z) / radius)
+                z = project_ball(z, radius)
                 assert objective(out) <= objective(z) + 1e-12
 
 
@@ -107,7 +107,7 @@ class TestInnerSgd:
     def test_noiseless_k0_bound(self, rng):
         p, ds = random_instance(rng, d=3, n=3, N=9)
         R = 4.0
-        theta0 = p.theta / max(1.0, np.linalg.norm(p.theta) / (R / 2))
+        theta0 = project_ball(p.theta, R / 2)
         start = NetworkParams(p.W, theta0)
         theta_star = solve_theta_star(start, SIG, ds, R / 2)
         f_star = model.loss(NetworkParams(p.W, theta_star), SIG, ds)
@@ -174,7 +174,8 @@ class TestOuterStep:
         p, ds = random_instance(rng, d=3, n=3, N=6)
         from twolayer_opt import Dataset
         fitted = Dataset(ds.inputs, fitted_labels(p, SIG, ds.inputs), ds.provenance)
-        stepped = outer_step(p, SIG, fitted, gamma=0.1)
+        stepped = outer_step(p, model.grad_W(p, SIG, fitted), 0.1,
+                             lipschitz_estimates(p, SIG, fitted).l_w_bound)
         np.testing.assert_array_equal(stepped.W, p.W)
         np.testing.assert_array_equal(stepped.theta, p.theta)
 
@@ -184,26 +185,29 @@ class TestOuterStep:
             est = lipschitz_estimates(p, SIG, ds)
             L = est.l_w_bound
             gamma = 1.0 / L
-            g2 = float(np.linalg.norm(model.grad_W(p, SIG, ds)) ** 2)
+            g = model.grad_W(p, SIG, ds)
+            g2 = float(np.linalg.norm(g) ** 2)
             f0 = model.loss(p, SIG, ds)
-            f1 = model.loss(outer_step(p, SIG, ds, gamma, L), SIG, ds)
+            f1 = model.loss(outer_step(p, g, gamma, L), SIG, ds)
             assert f1 <= f0 - (gamma - L * gamma ** 2 / 2.0) * g2 + 1e-8
 
     def test_halved_step_is_midpoint(self, rng):
         p, ds = random_instance(rng, square=True)
         est = lipschitz_estimates(p, SIG, ds)
         gamma = 1.0 / est.l_w_bound
-        w_full = outer_step(p, SIG, ds, gamma, est.l_w_bound).W
-        w_half = outer_step(p, SIG, ds, gamma / 2, est.l_w_bound).W
+        g = model.grad_W(p, SIG, ds)
+        w_full = outer_step(p, g, gamma, est.l_w_bound).W
+        w_half = outer_step(p, g, gamma / 2, est.l_w_bound).W
         np.testing.assert_allclose(w_half, (p.W + w_full) / 2.0, rtol=1e-12)
 
     def test_step_bound_violation(self, rng):
         p, ds = random_instance(rng, square=True)
+        g = model.grad_W(p, SIG, ds)
         L = lipschitz_estimates(p, SIG, ds).l_w_bound
         with pytest.raises(ConfigError):
-            outer_step(p, SIG, ds, gamma=2.0 / L)
+            outer_step(p, g, 2.0 / L, L)
         with pytest.raises(ConfigError):
-            outer_step(p, SIG, ds, gamma=0.0)
+            outer_step(p, g, 0.0, L)
 
 
 class TestSolveThetaStar:
@@ -215,7 +219,7 @@ class TestSolveThetaStar:
         eta = 1.0 / l_theta
         g = model.grad_theta(NetworkParams(p.W, theta_star), SIG, ds)
         moved = theta_star - eta * g
-        moved = moved / max(1.0, np.linalg.norm(moved) / radius)
+        moved = project_ball(moved, radius)
         assert np.linalg.norm(theta_star - moved) / eta <= 1e-10
 
     def test_matches_least_squares_when_interior(self, rng):
