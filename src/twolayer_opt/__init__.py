@@ -5,9 +5,9 @@ from .activations import (ACTIVATION_NAMES, PAPER_ACTIVATIONS,
                           ActivationFunction, builtin_activation, c1_probe)
 from .dataset import Dataset, Provenance, generate_inputs, make_realizable
 from .diagnostics import (GlobalCertificate, LipschitzEstimate, RankReport,
-                          certify, collection_rank, lipschitz_ball_bound,
-                          lipschitz_estimates, perturbation_rank_trial,
-                          svd_rank)
+                          certificate, certify, collection_rank,
+                          lipschitz_ball_bound, lipschitz_estimates,
+                          perturbation_rank_trial, svd_rank)
 from .errors import (ConfigError, FormatError, IoError, NumericsError,
                      ShapeError)
 from .model import (NetworkParams, StationaritySystem, forward, grad_theta,

@@ -2,10 +2,10 @@
 bound-verification suites, and plot-ready output emission.
 
 Subcommands: generate, train, diagnose, verify <suite>, plotdata.  Each
-takes only the flags it reads (see build_parser); a train flag overrides
-the run config key it is named after, a dataset flag the recipe key in
-RECIPE_KEYS, and --activation the config's activation.  A config key that
-nothing reads is an error.
+(and each verify suite, SUITE_FLAGS) takes only the flags it reads (see
+build_parser); a train flag overrides the run config key it is named after,
+a dataset flag the recipe key in RECIPE_KEYS, and --activation the config's
+activation.  A config key that nothing reads is an error.
 Exit codes: 0 pass, 1 suite failure, 2 usage/config error, 3 numeric failure.
 
 File-writing commands refuse to overwrite existing outputs unless --force is
@@ -31,8 +31,9 @@ from .optimizer import (INIT_KEYS, RUN_KEYS, TRAJECTORY_COLUMNS, RunConfig,
                         TrajectoryRecord)
 # cmd_verify calls each suite through these module globals, so wrapping
 # cli.suite_<name> reaches the call
-from .verify import (SUITES, suite_certify, suite_gradcheck, suite_lipschitz,
-                     suite_rank, suite_theorem1, suite_theorem2)
+from .verify import (SUITES, suite_certify, suite_gradcheck,  # noqa: F401
+                     suite_lipschitz, suite_rank, suite_theorem1,
+                     suite_theorem2)
 
 
 # ----------------------------------------------------------------- file io
@@ -117,10 +118,14 @@ def _load_spec(args, activation: str = "sigmoid") -> ExperimentSpec:
                    or cfg.get("activation", activation))
 
 
+def _flag_value(args, flag: str):
+    """The value of `flag` (say --n-samples) parsed into args."""
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _file_or_recipe(path, args) -> None:
     """A dataset read from `path` takes no dataset recipe flag."""
-    flags = [flag for flag in DATASET_FLAGS
-             if getattr(args, flag[2:].replace("-", "_")) is not None]
+    flags = [flag for flag in DATASET_FLAGS if _flag_value(args, flag) is not None]
     if path and flags:
         raise ConfigError(f"the dataset is read from {path}, so "
                           f"{', '.join(flags)} cannot describe it")
@@ -236,6 +241,9 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"--params {args.params} holds a {activation} network, "
                           f"but the activation given is {spec.activation}")
     ds = ds_mod.load(args.data)
+    if params is not None and params.d != ds.dim:
+        raise ConfigError(f"--params {args.params} holds a d={params.d} network, "
+                          f"but --data {args.data} has d={ds.dim}")
     act = builtin_activation(spec.activation)
     if params is None:
         params = model.random_params(
@@ -287,15 +295,9 @@ def cmd_verify(args) -> int:
     if args.out:
         (out_path,) = files.output_paths(
             args.out, [f"verify_{args.suite}.json"], args.force)
-    runners = {
-        "gradcheck": lambda: suite_gradcheck(activation, seed, args.instances),
-        "rank": lambda: suite_rank(activation, seed, args.trials, args.rank_tol),
-        "lipschitz": lambda: suite_lipschitz(activation, seed, args.trials),
-        "theorem1": lambda: suite_theorem1(activation, seed, args.seeds),
-        "theorem2": lambda: suite_theorem2(activation, seed, args.seeds),
-        "certify": lambda: suite_certify(activation, seed, args.rank_tol),
-    }
-    checks = runners[args.suite]()
+    suite = globals()[f"suite_{args.suite}"]   # looked up at call time
+    checks = suite(activation, seed,
+                   *(_flag_value(args, flag) for flag in SUITE_FLAGS[args.suite]))
     verdict = {"suite": args.suite, "activation": activation,
                "checks": checks, "pass": all(c["pass"] for c in checks)}
     print(json.dumps(verdict, indent=2))
@@ -368,11 +370,22 @@ SHARED_FLAGS = {
     "--data-seed": dict(type=int),
     "--teacher-seed": dict(type=int),
     "--noise-std": dict(type=float),
+    # the verify suites' sizes (SUITE_FLAGS)
+    "--seeds": dict(type=count, default=200, help="Monte-Carlo seed count"),
+    "--trials": dict(type=count, default=25, help="trial count"),
+    "--instances": dict(type=count, default=5, help="instance count"),
 }
 SPEC_FLAGS = ("--config", "--activation")
 OUT_FLAGS = ("--out", "--force")
 DATASET_FLAGS = ("--d", "--n-samples", "--dist", "--data-seed", "--teacher-seed",
                  "--noise-std")
+# the flags each verify suite reads, in the order suite_<name> takes them
+# after (activation, seed)
+SUITE_FLAGS = {
+    "gradcheck": ("--instances",), "rank": ("--trials", "--rank-tol"),
+    "lipschitz": ("--trials",), "theorem1": ("--seeds",),
+    "theorem2": ("--seeds",), "certify": ("--rank-tol",),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, shared):
-        sp = sub.add_parser(name, help=help)
+    def command(name, func, help, shared, group=sub):
+        sp = group.add_parser(name, help=help)
         for flag in shared:
             sp.add_argument(flag, **SHARED_FLAGS[flag])
         sp.set_defaults(func=func)
@@ -425,15 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("--params", help="NetworkParams CSV (see model.save_params)")
     di.add_argument("--name")
 
-    ve = command("verify", cmd_verify, "run a bound-verification suite",
-                 SPEC_FLAGS + ("--seed", "--rank-tol") + OUT_FLAGS)
-    ve.add_argument("suite", choices=SUITES)
-    ve.add_argument("--seeds", type=count, default=200,
-                    help="Monte-Carlo seed count (theorem suites)")
-    ve.add_argument("--trials", type=count, default=25,
-                    help="trial count (rank/lipschitz suites)")
-    ve.add_argument("--instances", type=count, default=5,
-                    help="instance count (gradcheck)")
+    ve = sub.add_parser("verify", help="run a bound-verification suite")
+    suites = ve.add_subparsers(dest="suite", required=True)
+    for suite in SUITES:
+        command(suite, cmd_verify, f"the {suite} suite",
+                SPEC_FLAGS + ("--seed",) + SUITE_FLAGS[suite] + OUT_FLAGS, suites)
 
     pl = command("plotdata", cmd_plotdata, "emit plot-ready metric files", OUT_FLAGS)
     pl.add_argument("--run-dir", required=True)

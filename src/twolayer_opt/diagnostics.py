@@ -9,23 +9,25 @@ the smallest column singular value of D is positive,
 A small gradient plus a well-conditioned D therefore pins the residual (and
 the loss) near zero.  The certificate exists only when N <= n*d: a wide D
 (n*d < N) has sigma_min(D) = 0 by shape, so column_sigma_extremes decides
-that case without an SVD.  "Full rank" statements about random feature
-collections are probed by Monte-Carlo at an SVD tolerance; they admit no
-finite certificate.
+that case without an SVD.  certificate is the one place this arithmetic is
+done: certify applies it at a point, and optimizer.run at every iterate,
+from the stationarity system and gradient it already holds.  "Full rank"
+statements about random feature collections are probed by Monte-Carlo at an
+SVD tolerance; they admit no finite certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .activations import ActivationFunction
 from .errors import ConfigError, NumericsError, ShapeError
-from .model import (NetworkParams, _features, grad_W, khatri_rao, objective,
-                    stationarity_system)
+from .model import (NetworkParams, StationaritySystem, _features, grad_W,
+                    khatri_rao, objective, stationarity_system)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -45,13 +47,7 @@ class RankReport:
         return self.numerical_rank == min(self.matrix_dims)
 
     def to_dict(self) -> dict:
-        return {
-            "matrix_dims": list(self.matrix_dims),
-            "singular_values": [float(s) for s in self.singular_values],
-            "numerical_rank": self.numerical_rank,
-            "sigma_min": self.sigma_min,
-            "rank_tol": self.rank_tol,
-        }
+        return {**asdict(self), "singular_values": self.singular_values.tolist()}
 
 
 @dataclass(frozen=True)
@@ -82,16 +78,7 @@ class GlobalCertificate:
     rank_tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "grad_norm": self.grad_norm,
-            "sigma_min_D": self.sigma_min_D,
-            "sigma_max_D": self.sigma_max_D,
-            "residual_norm": self.residual_norm,
-            "certified_bound": self.certified_bound,
-            "loss_value": self.loss_value,
-            "verdict": self.verdict,
-            "rank_tol": self.rank_tol,
-        }
+        return asdict(self)
 
 
 def svd_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> RankReport:
@@ -121,7 +108,8 @@ def collection_matrix(a: ActivationFunction, W, inputs) -> np.ndarray:
     d = inputs.shape[1]
     W = np.eye(d) if W is None else np.asarray(W, dtype=float)
     if W.shape != (d, d):
-        raise ShapeError(f"W must be square ({d}, {d}), got {W.shape}")
+        raise ShapeError(
+            f"W must be ({d}, {d}) for {d}-dimensional inputs, got {W.shape}")
     U, _, H = _features(a, W, inputs)
     return khatri_rao(H, U)
 
@@ -227,21 +215,19 @@ def column_sigma_extremes(M: np.ndarray):
     return 0.0, scale * math.sqrt(max(top, 0.0))
 
 
-def certify(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
-            rank_tol: float = DEFAULT_RANK_TOL) -> GlobalCertificate:
-    """Evaluate the first-order => global certificate at (W, theta)."""
+def certificate(system: StationaritySystem, grad: np.ndarray,
+                rank_tol: float = DEFAULT_RANK_TOL) -> GlobalCertificate:
+    """The first-order => global certificate of a point, from its
+    stationarity system (D, s) and its W-gradient grad_W f."""
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
-    sys = stationarity_system(p, a, ds)
-    g = grad_W(p, a, ds)
-    grad_norm = float(np.linalg.norm(g))
-    resid_norm = float(np.linalg.norm(sys.s))
-    sigma_min, sigma_max = column_sigma_extremes(sys.D)
-    N = len(sys.s)
+    grad_norm = float(np.linalg.norm(grad))
+    sigma_min, sigma_max = column_sigma_extremes(system.D)
+    N = len(system.s)
     bound = N * grad_norm / sigma_min if sigma_min > 0.0 else float("inf")
     if sigma_min <= rank_tol * sigma_max or sigma_max == 0.0:
         verdict = "rank_deficient"
-    elif np.isfinite(bound):
+    elif math.isfinite(bound):
         verdict = "certified_near_global"
     else:
         verdict = "inconclusive"
@@ -249,12 +235,18 @@ def certify(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
         grad_norm=grad_norm,
         sigma_min_D=sigma_min,
         sigma_max_D=sigma_max,
-        residual_norm=resid_norm,
+        residual_norm=float(np.linalg.norm(system.s)),
         certified_bound=float(bound),
-        loss_value=objective(sys.s),
+        loss_value=objective(system.s),
         verdict=verdict,
         rank_tol=rank_tol,
     )
+
+
+def certify(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
+            rank_tol: float = DEFAULT_RANK_TOL) -> GlobalCertificate:
+    """Evaluate the first-order => global certificate at (W, theta)."""
+    return certificate(stationarity_system(p, a, ds), grad_W(p, a, ds), rank_tol)
 
 
 def perturbation_rank_trial(w_prime, z, a: ActivationFunction, inputs,

@@ -7,6 +7,9 @@ improves on the incoming theta), then takes a single full-gradient descent
 step on the hidden layer W (outer_step).  A run starts from
 model.random_params with theta projected into the ball; project_ball is the
 one projection onto the ball, and prox_ball the prox step built on it.
+Each iterate's trajectory row is its diagnostics.certificate, built from the
+stationarity system and the gradient that the W step uses, plus
+svd_rank(W).sigma_min; TrajectoryRecord declares each column once.
 
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
@@ -38,7 +41,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .activations import ActivationFunction
-from .diagnostics import (column_sigma_extremes, lipschitz_ball_bound,
+from .diagnostics import (certificate, lipschitz_ball_bound, svd_rank,
                           theta_smoothness)
 from .errors import ConfigError, NumericsError, ShapeError
 from .files import check_keys, json_field
@@ -87,10 +90,12 @@ class RunConfig:
             raise ConfigError(f"n_outer must be >= 0, got {self.n_outer}")
         if self.n_inner < 1:
             raise ConfigError(f"n_inner must be >= 1, got {self.n_inner}")
-        if not self.R > 0:
-            raise ConfigError(f"R must be positive, got {self.R}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 < self.R < math.inf:
+            raise ConfigError(f"R must be finite and positive, got {self.R}")
+        for key, value in (("sigma", self.sigma), ("W_scale", self.init_w_scale),
+                           ("theta_scale", self.init_theta_scale)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         for name in ("beta", "gamma"):
             step = getattr(self, name)
             if step is not None and not step > 0:
@@ -135,35 +140,34 @@ class InnerSummary:
     early_exit: bool = False
 
 
-TRAJECTORY_COLUMNS = ("k", "f", "grad_norm_F", "sigma_min_W", "sigma_min_D",
-                      "resid_norm", "inner_steps", "inner_final_f")
-
-
 @dataclass
 class TrajectoryRecord:
     """Per-outer-iteration telemetry; row k < n_outer holds the quantities
     at (W_k, theta_{k+1}), the final row holds the returned iterate."""
 
-    k: np.ndarray
-    f: np.ndarray
-    grad_norm: np.ndarray
-    sigma_min_w: np.ndarray
-    sigma_min_d: np.ndarray
-    resid_norm: np.ndarray
-    inner_steps: np.ndarray
-    inner_final_f: np.ndarray
+    # each field's metadata "column" is its trajectory CSV column
+    k: np.ndarray = field(metadata={"column": "k"})
+    f: np.ndarray = field(metadata={"column": "f"})
+    grad_norm: np.ndarray = field(metadata={"column": "grad_norm_F"})
+    sigma_min_w: np.ndarray = field(metadata={"column": "sigma_min_W"})
+    sigma_min_d: np.ndarray = field(metadata={"column": "sigma_min_D"})
+    resid_norm: np.ndarray = field(metadata={"column": "resid_norm"})
+    inner_steps: np.ndarray = field(metadata={"column": "inner_steps"})
+    inner_final_f: np.ndarray = field(metadata={"column": "inner_final_f"})
     derived: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.k)
 
     def columns(self) -> dict:
-        return {
-            "k": self.k, "f": self.f, "grad_norm_F": self.grad_norm,
-            "sigma_min_W": self.sigma_min_w, "sigma_min_D": self.sigma_min_d,
-            "resid_norm": self.resid_norm, "inner_steps": self.inner_steps,
-            "inner_final_f": self.inner_final_f,
-        }
+        return {column: getattr(self, name)
+                for column, name in TRAJECTORY_FIELDS.items()}
+
+
+# trajectory column -> TrajectoryRecord field, in CSV order
+TRAJECTORY_FIELDS = {f.metadata["column"]: f.name
+                     for f in fields(TrajectoryRecord) if "column" in f.metadata}
+TRAJECTORY_COLUMNS = tuple(TRAJECTORY_FIELDS)
 
 
 def project_ball(z: np.ndarray, radius: float) -> np.ndarray:
@@ -327,32 +331,34 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
     params = replace(params, theta=project_ball(params.theta, cfg.R / 2.0))
     f_init = loss(params, a, ds)
 
-    rows = []   # one value per TRAJECTORY_COLUMNS entry, in that order
+    rows = []   # one {TrajectoryRecord field: value} per row
 
-    def record(k, p, steps, inner_final):
+    def record(k, p, summary):
         sys = stationarity_system(p, a, ds)
         g = grad_W(p, a, ds)
-        f_val = objective(sys.s)
-        smd, _ = column_sigma_extremes(sys.D)
-        row = (k, f_val, float(np.linalg.norm(g)),
-               float(np.linalg.svd(p.W, compute_uv=False)[-1]), smd,
-               float(np.linalg.norm(sys.s)), steps,
-               inner_final if inner_final is not None else f_val)
+        cert = certificate(sys, g)
+        row = dict(k=k, f=cert.loss_value, grad_norm=cert.grad_norm,
+                   sigma_min_w=svd_rank(p.W).sigma_min,
+                   sigma_min_d=cert.sigma_min_D, resid_norm=cert.residual_norm,
+                   inner_steps=summary.steps if summary else 0,
+                   inner_final_f=summary.final_f if summary else cert.loss_value)
         rows.append(row)
-        if not all(np.isfinite(v) for v in row[1:6]):
+        if not all(np.isfinite(row[name]) for name in
+                   ("f", "grad_norm", "sigma_min_w", "sigma_min_d", "resid_norm")):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
         return g
 
     for k in range(n_outer):
         theta, summary = inner_sgd(params, a, ds, cfg, rng)
         params = replace(params, theta=theta)
-        g = record(k, params, summary.steps, summary.final_f)
+        g = record(k, params, summary)
         params = outer_step(params, g, gamma, L_ball)
 
-    record(n_outer, params, 0, None)
+    record(n_outer, params, None)
 
     trajectory = TrajectoryRecord(
-        *(np.array(column) for column in zip(*rows)),
+        **{name: np.array([row[name] for row in rows])
+           for name in TRAJECTORY_FIELDS.values()},
         derived={
             "n_outer": n_outer, "n_inner": cfg.n_inner, "sigma": cfg.sigma,
             "gamma": gamma, "L_ball": L_ball, "R": cfg.R,

@@ -9,7 +9,7 @@ import pytest
 
 from twolayer_opt import (FormatError, RunConfig, builtin_activation, certify,
                           cli, dataset, model)
-from twolayer_opt.cli import main, read_trajectory_csv
+from twolayer_opt.cli import TRAJECTORY_COLUMNS, main, read_trajectory_csv
 
 
 def run_cli(*argv):
@@ -183,13 +183,21 @@ class TestTrain:
         ({"run": {"N_o": 2, "N_i": 2, "beta_policy": "fixed"}}, "'beta_policy'"),
         # a dataset from a file and a recipe at once
         ({"dataset": {"path": "data.csv", "d": 3}}, "'path'"),
+        # a run setting out of its range
+        ({"run": {"N_o": 2, "N_i": 2, "R": float("inf")}}, "R must"),
+        ({"run": {"N_o": 2, "N_i": 2, "sigma": float("nan")}}, "sigma must"),
+        ({"run": {"N_o": 2, "N_i": 2, "init": {"W_scale": -1.0}}}, "W_scale"),
+        ({"run": {"N_o": 2, "N_i": 2, "init": {"theta_scale": float("nan")}}},
+         "theta_scale"),
     ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
             "out_dir", "list", "run.early_exit", "run.theorem2_preset",
             "run.early_exit_number", "run.N_o_fraction", "repetitions_bool",
             "run.sigma_bool", "activation_list", "dataset.path", "name",
             "activation_unknown", "unknown.run.n_outer", "unknown.repititions",
             "unknown.dataset.noise", "unknown.run.init.w_scale",
-            "unknown.run.beta_policy", "dataset.path_and_recipe"])
+            "unknown.run.beta_policy", "dataset.path_and_recipe", "run.R_inf",
+            "run.sigma_nan", "run.init.W_scale_negative",
+            "run.init.theta_scale_nan"])
     def test_config_wrong_json_type(self, tmp_path, capsys, change, key):
         spec = {"dataset": {"d": 3, "N": 9},
                 "run": {"N_o": 2, "N_i": 2}, "repetitions": 1}
@@ -199,6 +207,22 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg_path)) == 2
         err = capsys.readouterr().err
         assert key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value, setting", [
+    ("--w-scale", "-1", "W_scale"), ("--theta-scale", "-1", "theta_scale"),
+    ("--w-scale", "nan", "W_scale"), ("--theta-scale", "nan", "theta_scale"),
+    ("--sigma", "nan", "sigma"), ("--sigma", "inf", "sigma"),
+    ("--r-ball", "inf", "R"),
+])
+def test_bad_run_setting_flag(tmp_path, capsys, flag, value, setting):
+    # one line naming the setting, before the output directory is made
+    out = tmp_path / "runs"
+    assert run_cli("train", "--d", "3", "--n-samples", "9", "--out", str(out),
+                   flag, value) == 2
+    err = capsys.readouterr().err
+    assert f"{setting} must be finite" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestDiagnose:
@@ -359,6 +383,13 @@ def test_readme_config_loads(tmp_path):
     assert spec.dataset["d"] == 3 and spec.repetitions == 3
 
 
+def test_readme_trajectory_header():
+    # the README's Files section names the columns that train writes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    header = readme.split("starts with the header", 1)[1].split("`", 2)[1]
+    assert header == ",".join(TRAJECTORY_COLUMNS)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "lipschitz", "--trials", "0"],
     ["verify", "gradcheck", "--instances", "0"],
@@ -378,16 +409,38 @@ def test_readme_config_loads(tmp_path):
     ["train", "--data", "data.csv", "--noise-std", "0.1"],
     ["train", "--config", "PATH_CONFIG", "--d", "3"],
     ["generate", "--config", "PATH_CONFIG", "--d", "3", "--n-samples", "9"],
+    # a d=2 network for d=3 data
+    ["diagnose", "--data", "PATH_DATA", "--params", "PATH_PARAMS"],
+    # a verify flag on a suite that does not read it
+    ["verify", "certify", "--seeds", "5"],
+    ["verify", "certify", "--trials", "3"],
+    ["verify", "certify", "--instances", "2"],
+    ["verify", "gradcheck", "--seeds", "5"],
+    ["verify", "gradcheck", "--rank-tol", "0.5"],
+    ["verify", "theorem2", "--trials", "9"],
+    ["verify", "theorem2", "--rank-tol", "0.3"],
+    ["verify", "lipschitz", "--rank-tol", "0.5"],
+    ["verify", "rank", "--seeds", "5"],
+    ["verify", "theorem1", "--instances", "2"],
 ], ids=["lipschitz_trials_0", "gradcheck_instances_0", "rank_trials_0",
         "theorem1_seeds_0", "theorem2_seeds_0", "train_reps_0",
         "plotdata_seed", "plotdata_activation", "plotdata_config",
         "plotdata_rank_tol", "train_rank_tol", "generate_rank_tol",
         "generate_seed", "train_data_and_recipe", "train_config_path_and_recipe",
-        "generate_config_path_and_recipe"])
+        "generate_config_path_and_recipe", "diagnose_params_d_mismatch",
+        "certify_seeds", "certify_trials", "certify_instances", "gradcheck_seeds",
+        "gradcheck_rank_tol", "theorem2_trials", "theorem2_rank_tol",
+        "lipschitz_rank_tol", "rank_seeds", "theorem1_instances"])
 def test_parser_rejects(tmp_path, tmp_path_factory, monkeypatch, capsys, argv):
-    config = tmp_path_factory.mktemp("config") / "path.json"   # names itself
-    config.write_text(json.dumps({"dataset": {"path": str(config)}}))
-    argv = [str(config) if arg == "PATH_CONFIG" else arg for arg in argv]
+    inputs = tmp_path_factory.mktemp("inputs")
+    paths = {"PATH_CONFIG": inputs / "path.json",   # names itself
+             "PATH_DATA": inputs / "d3.csv", "PATH_PARAMS": inputs / "p2.csv"}
+    paths["PATH_CONFIG"].write_text(
+        json.dumps({"dataset": {"path": str(paths["PATH_CONFIG"])}}))
+    dataset.save(dataset.make_realizable(3, 9), paths["PATH_DATA"])
+    model.save_params(model.NetworkParams(np.eye(2), np.ones(2)),
+                      paths["PATH_PARAMS"], "sigmoid")
+    argv = [str(paths.get(arg, arg)) for arg in argv]
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 2
     out, err = capsys.readouterr()

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from twolayer_opt import (ConfigError, NetworkParams, RunConfig,
                           builtin_activation, certify, inner_sgd,
-                          make_realizable, model, optimizer, outer_step,
-                          project_ball, prox_ball, run, solve_theta_star)
+                          diagnostics, make_realizable, model, outer_step,
+                          project_ball, prox_ball, run, solve_theta_star,
+                          svd_rank)
 from twolayer_opt.diagnostics import lipschitz_ball_bound, lipschitz_estimates
 from twolayer_opt.optimizer import phase_noise
 
@@ -287,7 +288,7 @@ class TestRun:
         cfg = RunConfig(n_outer=8, n_inner=5, sigma=0.2, seed=3)
         p1, r1 = run(SIG, ds, cfg)
 
-        monkeypatch.setattr(optimizer, "column_sigma_extremes", svd_extremes)
+        monkeypatch.setattr(diagnostics, "column_sigma_extremes", svd_extremes)
         p2, r2 = run(SIG, ds, cfg)
         np.testing.assert_array_equal(p1.W, p2.W)
         np.testing.assert_array_equal(p1.theta, p2.theta)
@@ -295,6 +296,16 @@ class TestRun:
             np.testing.assert_array_equal(vals, r2.columns()[col])
         assert np.all(r1.sigma_min_d == 0.0)
         assert certify(p1, SIG, ds).verdict == "rank_deficient"
+
+    @pytest.mark.parametrize("N", [9, 30], ids=["square_D", "wide_D"])
+    def test_final_row_is_the_certificate(self, N):
+        ds = make_realizable(3, N, seed=4)
+        p, rec = run(SIG, ds, RunConfig(n_outer=6, n_inner=5, sigma=0.2, seed=3))
+        cert = certify(p, SIG, ds)
+        row = (rec.f[-1], rec.grad_norm[-1], rec.sigma_min_w[-1],
+               rec.sigma_min_d[-1], rec.resid_norm[-1])
+        assert row == (cert.loss_value, cert.grad_norm, svd_rank(p.W).sigma_min,
+                       cert.sigma_min_D, cert.residual_norm)
 
     def test_record_shape_and_finiteness(self):
         ds = make_realizable(3, 9, seed=4)
