@@ -354,12 +354,28 @@ def count(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    """argparse type of a seed flag: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def noise_std(text: str) -> float:
+    """argparse type of --noise-std: a finite float >= 0."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 # every flag that several subcommands take, declared once
 SHARED_FLAGS = {
     "--config": dict(help="experiment spec JSON"),
     "--activation": dict(choices=ACTIVATION_NAMES,
                          help="activation name (default: config value or sigmoid)"),
-    "--seed": dict(type=int),
+    "--seed": dict(type=seed),
     "--rank-tol": dict(type=float, default=1e-10),
     "--out": dict(help="output directory"),
     "--force": dict(action="store_true", help="overwrite existing outputs"),
@@ -367,9 +383,9 @@ SHARED_FLAGS = {
     "--d": dict(type=int),
     "--n-samples": dict(type=int),
     "--dist": dict(choices=ds_mod.DISTRIBUTIONS),
-    "--data-seed": dict(type=int),
-    "--teacher-seed": dict(type=int),
-    "--noise-std": dict(type=float),
+    "--data-seed": dict(type=seed),
+    "--teacher-seed": dict(type=seed),
+    "--noise-std": dict(type=noise_std),
     # the verify suites' sizes (SUITE_FLAGS)
     "--seeds": dict(type=count, default=200, help="Monte-Carlo seed count"),
     "--trials": dict(type=count, default=25, help="trial count"),

@@ -82,7 +82,14 @@ def make_realizable(d: int, N: int, dist: str = "uniform_cube", seed: int = 0,
     square teacher, model.random_params(default_rng(teacher_seed), d) with
     teacher_seed defaulting to seed + 1, so that f* = 0.  noise_std > 0 adds
     N(0, noise_std^2) label noise drawn from seed + 2.  The provenance's
-    teacher entry records the network and the noise."""
+    teacher entry records the network and the noise.  A negative seed or
+    teacher_seed, or a noise_std that is not finite and >= 0, raises
+    ValueError naming it."""
+    for name, value in (("seed", seed), ("teacher_seed", teacher_seed)):
+        if value is not None and value < 0:
+            raise ValueError(f"dataset {name} must be >= 0, got {value}")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError(f"dataset noise_std must be finite and >= 0, got {noise_std}")
     teacher_seed = seed + 1 if teacher_seed is None else teacher_seed
     inputs = generate_inputs(d, N, dist, seed)
     teacher = model.random_params(np.random.default_rng(teacher_seed), d)

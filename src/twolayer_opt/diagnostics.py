@@ -120,13 +120,25 @@ def collection_rank(a: ActivationFunction, W, inputs,
     return svd_rank(collection_matrix(a, W, inputs), rank_tol)
 
 
+def theta_spectrum(features: np.ndarray):
+    """(lam, Q) with G = Q diag(lam) Q^T, lam ascending, for the Hessian
+    G = H^T H / N of the theta-subproblem with feature matrix H (rows
+    h(W u_i)).  A non-finite G (features too large to square) raises
+    NumericsError before the eigendecomposition."""
+    features = np.asarray(features, dtype=float)
+    G = features.T @ features / features.shape[0]
+    if not np.all(np.isfinite(G)):
+        raise NumericsError("non-finite theta-subproblem Hessian H^T H / N")
+    return np.linalg.eigh(G)
+
+
 def theta_smoothness(features: np.ndarray) -> float:
     """Exact smoothness constant of the theta-subproblem from its feature
-    matrix H (rows h(W u_i)): lambda_max(H^T H) / N."""
-    features = np.asarray(features, dtype=float)
-    svals = np.linalg.svd(features, compute_uv=False)
-    top = float(svals[0]) if svals.size else 0.0
-    return top * top / features.shape[0]
+    matrix H: lambda_max(H^T H) / N, the last of theta_spectrum's
+    eigenvalues (the number inner_sgd steps with).  Features too large to
+    square raise NumericsError (exit 3 from train, diagnose and verify)
+    rather than giving an L_theta of inf."""
+    return float(theta_spectrum(features)[0][-1])
 
 
 def _w_smoothness(a: ActivationFunction, ds: "Dataset", theta_max: float,

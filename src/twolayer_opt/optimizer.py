@@ -14,8 +14,12 @@ svd_rank(W).sigma_min; TrajectoryRecord declares each column once.
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
 theta <- P_ball((I - beta G) theta + beta (b - xi_t)).  The phase computes
-H, G, b and all n_inner noise vectors xi_t once (one generator call), so a
-step costs O(n^2) and touches none of the N samples.
+H, G, b and all n_inner noise vectors xi_t once (one generator call), and
+one eigendecomposition G = Q diag(lam) Q^T, whose lam[-1] is L_theta.  The
+steps run one at a time in G's eigenbasis, where I - beta G is the
+diagonal 1 - beta lam: each costs O(n) and touches none of the N samples,
+and a phase costs the same whether the ball binds at its first step or
+never.
 
 Step sizes: a beta or gamma left at None is derived; one that is given is
 used, after a check of its bound.
@@ -42,7 +46,7 @@ import numpy as np
 
 from .activations import ActivationFunction
 from .diagnostics import (certificate, lipschitz_ball_bound, svd_rank,
-                          theta_smoothness)
+                          theta_smoothness, theta_spectrum)
 from .errors import ConfigError, NumericsError, ShapeError
 from .files import check_keys, json_field
 from .model import (NetworkParams, _features, grad_W, loss, objective,
@@ -90,6 +94,8 @@ class RunConfig:
             raise ConfigError(f"n_outer must be >= 0, got {self.n_outer}")
         if self.n_inner < 1:
             raise ConfigError(f"n_inner must be >= 1, got {self.n_inner}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.R < math.inf:
             raise ConfigError(f"R must be finite and positive, got {self.R}")
         for key, value in (("sigma", self.sigma), ("W_scale", self.init_w_scale),
@@ -222,10 +228,10 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     first average that already improves on the incoming theta, when
     early_exit is on).
 
-    Step t is theta <- P_ball(M theta + C[t]) with M = I - beta G and
-    C[t] = beta (b - xi_t) (see the module docstring).  An early exit after
-    k steps rewinds rng and redraws k rows of phase_noise, leaving it where
-    k per-step draws would.
+    Step t is theta <- P_ball((I - beta G) theta + beta (b - xi_t)) (see
+    the module docstring), taken in G's eigenbasis, where I - beta G is
+    diagonal.  An early exit after k steps rewinds rng and redraws k rows
+    of phase_noise, leaving it where k per-step draws would.
     """
     n_inner, sigma = cfg.n_inner, cfg.sigma
     radius = cfg.R / 2.0
@@ -236,30 +242,40 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     def f_of(theta):
         return objective(v - H @ theta)
 
-    l_theta = theta_smoothness(H)
+    lam, Q = theta_spectrum(H)
+    l_theta = float(lam[-1])
     beta = _resolve_beta(cfg, l_theta)
 
+    # in G's eigenbasis y = Q^T theta a step is y <- P_ball(lag * y + Cq[t]),
+    # with lag = 1 - beta lam in [1/2, 1]; Q is orthogonal, so y has theta's
+    # norm and projecting y projects theta
     n, N = p.n, len(v)
-    M = np.eye(n) - beta * (H.T @ H / N)
     state = rng.bit_generator.state
-    C = beta * (H.T @ v / N - phase_noise(rng, sigma, n_inner, n))
+    Cq = beta * (H.T @ v / N - phase_noise(rng, sigma, n_inner, n)) @ Q
+    lag = 1.0 - beta * lam
 
+    # the steps run on Python floats: with n a handful of hidden units, a
+    # numpy call on an n-vector costs more than its arithmetic.  The
+    # projection is project_ball's, on lists.
     f_incoming = f_of(p.theta)
-    theta_bar = p.theta
-    sum_theta = np.zeros(n)   # beta is constant: the weighted average is the mean
+    lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
+    sum_y = [0.0] * n   # beta is constant: the weighted average is the mean
     steps = 0
     exited = False
-    for c in C:
-        theta_bar = project_ball(M @ theta_bar + c, radius)
-        sum_theta += theta_bar
+    for c in Cq.tolist():
+        y = [g * yi + ci for g, yi, ci in zip(lag_l, y, c)]
+        norm = math.hypot(*y)
+        if norm > radius:
+            y = [yi * (radius / norm) for yi in y]
+        sum_y = [s + yi for s, yi in zip(sum_y, y)]
         steps += 1
-        if cfg.early_exit and f_of(sum_theta / steps) <= f_incoming:
+        if cfg.early_exit and f_of(Q @ np.divide(sum_y, steps)) <= f_incoming:
             exited = True
             break
+    theta_avg = Q @ np.divide(sum_y, steps)
     if steps < n_inner:   # leave rng where step-by-step draws would
         rng.bit_generator.state = state
         phase_noise(rng, sigma, steps, n)
-    theta_avg = sum_theta / steps if steps else p.theta
     return theta_avg, InnerSummary(steps=steps, final_f=f_of(theta_avg),
                                    beta=beta, l_theta=l_theta,
                                    early_exit=exited)

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +192,11 @@ class TestTrain:
         ({"run": {"N_o": 2, "N_i": 2, "init": {"W_scale": -1.0}}}, "W_scale"),
         ({"run": {"N_o": 2, "N_i": 2, "init": {"theta_scale": float("nan")}}},
          "theta_scale"),
+        ({"run": {"N_o": 2, "N_i": 2, "seed": -1}}, "seed must"),
+        ({"dataset": {"d": 3, "N": 9, "seed": -1}}, "dataset seed"),
+        ({"dataset": {"d": 3, "N": 9, "teacher_seed": -1}}, "teacher_seed"),
+        ({"dataset": {"d": 3, "N": 9, "noise_std": -1.0}}, "noise_std"),
+        ({"dataset": {"d": 3, "N": 9, "noise_std": float("nan")}}, "noise_std"),
     ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
             "out_dir", "list", "run.early_exit", "run.theorem2_preset",
             "run.early_exit_number", "run.N_o_fraction", "repetitions_bool",
@@ -197,7 +205,9 @@ class TestTrain:
             "unknown.dataset.noise", "unknown.run.init.w_scale",
             "unknown.run.beta_policy", "dataset.path_and_recipe", "run.R_inf",
             "run.sigma_nan", "run.init.W_scale_negative",
-            "run.init.theta_scale_nan"])
+            "run.init.theta_scale_nan", "run.seed_negative",
+            "dataset.seed_negative", "dataset.teacher_seed_negative",
+            "dataset.noise_std_negative", "dataset.noise_std_nan"])
     def test_config_wrong_json_type(self, tmp_path, capsys, change, key):
         spec = {"dataset": {"d": 3, "N": 9},
                 "run": {"N_o": 2, "N_i": 2}, "repetitions": 1}
@@ -223,6 +233,38 @@ def test_bad_run_setting_flag(tmp_path, capsys, flag, value, setting):
     err = capsys.readouterr().err
     assert f"{setting} must be finite" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_non_finite_theta_hessian(tmp_path, capsys):
+    # softplus features of a W scaled by 1e160 are finite, their squares in
+    # G = H^T H / N are not
+    assert run_cli("train", "--d", "3", "--n-samples", "9", "--activation",
+                   "softplus", "--w-scale", "1e160",
+                   "--out", str(tmp_path / "runs")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure") and err.count("\n") == 1
+
+
+def test_no_heavy_scipy_modules(tmp_path):
+    # scipy.special is the one scipy module the program needs; importing
+    # scipy.signal, scipy.linalg or scipy.sparse would raise a train run's
+    # peak memory by megabytes
+    script = f"""
+import contextlib, io, sys
+from twolayer_opt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["train", "--d", "3", "--n-samples", "9", "--n-outer", "3",
+                 "--out", {str(tmp_path)!r}]) == 0
+    assert main(["verify", "certify"]) == 0
+print(sorted({{".".join(m.split(".")[:2]) for m in sys.modules}}
+             & {{"scipy.signal", "scipy.linalg", "scipy.sparse"}}))
+"""
+    src = Path(cli.__file__).parents[1]
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=300,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 class TestDiagnose:
@@ -260,6 +302,19 @@ class TestDiagnose:
             err = capsys.readouterr().err
             assert "tanh" in err and "sigmoid" in err and err.count("\n") == 1
 
+
+    def test_non_finite_theta_hessian(self, tmp_path, capsys):
+        # the train case above, as a params file: L_theta is not reported
+        # as inf, the run stops with exit 3
+        run_cli("generate", "--d", "3", "--n-samples", "9",
+                "--out", str(tmp_path), "--name", "demo")
+        params = model.NetworkParams(1e160 * np.eye(3), np.ones(3))
+        model.save_params(params, tmp_path / "p.csv", "softplus")
+        capsys.readouterr()
+        assert run_cli("diagnose", "--data", str(tmp_path / "demo.csv"),
+                       "--params", str(tmp_path / "p.csv")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure") and err.count("\n") == 1
 
     def test_sidecar_null_number(self, tmp_path, capsys):
         run_cli("generate", "--d", "3", "--n-samples", "9",
@@ -422,6 +477,13 @@ def test_readme_trajectory_header():
     ["verify", "lipschitz", "--rank-tol", "0.5"],
     ["verify", "rank", "--seeds", "5"],
     ["verify", "theorem1", "--instances", "2"],
+    # a seed below 0, a label noise that is negative or not a number
+    ["train", "--d", "3", "--n-samples", "9", "--seed", "-1"],
+    ["generate", "--d", "3", "--n-samples", "9", "--data-seed", "-1"],
+    ["generate", "--d", "3", "--n-samples", "9", "--teacher-seed", "-1"],
+    ["verify", "certify", "--seed", "-1"],
+    ["generate", "--d", "3", "--n-samples", "9", "--noise-std", "-1"],
+    ["generate", "--d", "3", "--n-samples", "9", "--noise-std", "nan"],
 ], ids=["lipschitz_trials_0", "gradcheck_instances_0", "rank_trials_0",
         "theorem1_seeds_0", "theorem2_seeds_0", "train_reps_0",
         "plotdata_seed", "plotdata_activation", "plotdata_config",
@@ -430,7 +492,10 @@ def test_readme_trajectory_header():
         "generate_config_path_and_recipe", "diagnose_params_d_mismatch",
         "certify_seeds", "certify_trials", "certify_instances", "gradcheck_seeds",
         "gradcheck_rank_tol", "theorem2_trials", "theorem2_rank_tol",
-        "lipschitz_rank_tol", "rank_seeds", "theorem1_instances"])
+        "lipschitz_rank_tol", "rank_seeds", "theorem1_instances",
+        "train_seed_negative", "generate_data_seed_negative",
+        "generate_teacher_seed_negative", "certify_seed_negative",
+        "generate_noise_std_negative", "generate_noise_std_nan"])
 def test_parser_rejects(tmp_path, tmp_path_factory, monkeypatch, capsys, argv):
     inputs = tmp_path_factory.mktemp("inputs")
     paths = {"PATH_CONFIG": inputs / "path.json",   # names itself

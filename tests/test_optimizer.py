@@ -1,5 +1,7 @@
 """Prox mapping, inner SGD, outer descent, and full SGD-GD runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (fitted_labels, random_instance, reference_inner_sgd,
@@ -12,7 +14,8 @@ from twolayer_opt import (ConfigError, NetworkParams, RunConfig,
                           diagnostics, make_realizable, model, outer_step,
                           project_ball, prox_ball, run, solve_theta_star,
                           svd_rank)
-from twolayer_opt.diagnostics import lipschitz_ball_bound, lipschitz_estimates
+from twolayer_opt.diagnostics import (lipschitz_ball_bound, lipschitz_estimates,
+                                      theta_smoothness)
 from twolayer_opt.optimizer import phase_noise
 
 SIG = builtin_activation("sigmoid")
@@ -136,16 +139,25 @@ class TestInnerSgd:
             inner_sgd(p, SIG, ds, cfg, np.random.default_rng(0))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 6), st.integers(2, 30), st.integers(1, 40),
+    @given(st.integers(2, 6), st.integers(2, 30), st.integers(1, 300),
            st.sampled_from([0.0, 0.05, 0.7, 3.0]),
-           st.sampled_from([0.05, 1e6]), st.booleans(),
-           st.integers(0, 2 ** 32 - 1))
-    def test_matches_per_step_reference(self, d, N, n_inner, sigma, R,
-                                        early_exit, seed):
-        # R = 0.05 keeps the projection active, R = 1e6 inactive
+           st.sampled_from(["first", "mid", "never"]), st.floats(0.2, 0.95),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_step_reference(self, d, N, n_inner, sigma, contact,
+                                        frac, early_exit, seed):
+        # the ball binds from the first step (R = 0.05), from a step inside
+        # the phase, or never (R = 1e6); for "mid" the iterates grow from
+        # theta = 0 and the radius is below the largest unprojected norm
         p, ds = random_instance(np.random.default_rng(seed), d=d, N=N)
-        cfg = RunConfig(n_outer=1, n_inner=n_inner, R=R, sigma=sigma,
+        cfg = RunConfig(n_outer=1, n_inner=n_inner,
+                        R=1e6 if contact == "never" else 0.05, sigma=sigma,
                         early_exit=early_exit)
+        if contact == "mid":
+            p = replace(p, theta=np.zeros(p.n))
+            free = replace(cfg, R=1e6, early_exit=False)
+            free_largest = reference_inner_sgd(p, SIG, ds, free,
+                                               np.random.default_rng(seed))[2]
+            cfg = replace(cfg, R=2.0 * frac * free_largest)
         rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
         theta, summary = inner_sgd(p, SIG, ds, cfg, rng_new)
         theta_ref, ref, largest = reference_inner_sgd(p, SIG, ds, cfg, rng_ref)
@@ -155,6 +167,19 @@ class TestInnerSgd:
         assert (summary.steps, summary.beta, summary.early_exit) == \
             (ref.steps, ref.beta, ref.early_exit)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_l_theta_is_theta_smoothness(self, rng):
+        # one L_theta formula: inner_sgd's, theta_smoothness's and
+        # lipschitz_estimates' agree exactly, and with the SVD of H
+        for _ in range(20):
+            p, ds = random_instance(rng)
+            _, _, H = model._features(SIG, p.W, ds.inputs)
+            _, summary = inner_sgd(p, SIG, ds, RunConfig(n_outer=1, n_inner=3),
+                                   np.random.default_rng(0))
+            assert summary.l_theta == theta_smoothness(H) == \
+                lipschitz_estimates(p, SIG, ds).l_theta_exact
+            top = np.linalg.svd(H, compute_uv=False)[0]
+            assert summary.l_theta == pytest.approx(top * top / len(H), rel=1e-13)
 
     def test_early_exit_contract(self, rng):
         ds = make_realizable(3, 9, seed=31)
