@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -47,30 +46,31 @@ class ActivationFunction:
     claimed_c1: bool
 
 
+# A function under errstate(over="ignore") is written so that an
+# intermediate that overflows to inf gives its intended limit (1/inf = 0,
+# exp(-inf) = 0); any other overflow is an error (cli.main raises on it).
+
+
 def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _d_softplus(x):
-    return expit(x)
-
-
-def _d2_softplus(x):
-    s = expit(x)
-    return s * (1.0 - s)
-
-
+# scipy.special.expit's formula, so it saturates to exactly 0 and 1 where
+# expit does; exp(-x) overflows to inf below x = -709.78 and 1/inf is the
+# intended 0.  Clipping the argument instead would floor the sigmoid at
+# ~1e-308 and let a saturated D look full rank.  It is softplus' h'.
+@np.errstate(over="ignore")
 def _sigmoid(x):
-    return expit(x)
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _d_sigmoid(x):
-    s = expit(x)
+    s = _sigmoid(x)
     return s * (1.0 - s)
 
 
 def _d2_sigmoid(x):
-    s = expit(x)
+    s = _sigmoid(x)
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
@@ -89,38 +89,48 @@ def _d2_sigsym(x):
     return -0.5 * t * (1.0 - t * t)
 
 
+@np.errstate(over="ignore")
 def _gauss(x):
     return np.exp(-x * x)
 
 
+@np.errstate(over="ignore")
 def _d_gauss(x):
     return -2.0 * x * np.exp(-x * x)
 
 
+@np.errstate(over="ignore")
 def _d2_gauss(x):
-    return (4.0 * x * x - 2.0) * np.exp(-x * x)
+    e = np.exp(-x * x)
+    return 4.0 * x * (x * e) - 2.0 * e
 
 
+@np.errstate(over="ignore")
 def _gausssym(x):
     return 2.0 * np.exp(-x * x) - 1.0
 
 
+@np.errstate(over="ignore")
 def _d_gausssym(x):
     return -4.0 * x * np.exp(-x * x)
 
 
+@np.errstate(over="ignore")
 def _d2_gausssym(x):
-    return (8.0 * x * x - 4.0) * np.exp(-x * x)
+    e = np.exp(-x * x)
+    return 8.0 * x * (x * e) - 4.0 * e
 
 
 def _elliot(x):
     return x / (2.0 * (1.0 + np.abs(x))) + 0.5
 
 
+@np.errstate(over="ignore")
 def _d_elliot(x):
     return 0.5 / (1.0 + np.abs(x)) ** 2
 
 
+@np.errstate(over="ignore")
 def _d2_elliot(x):
     # h'' jumps at 0; the symmetric convention h''(0) = 0 is used
     return -np.sign(x) / (1.0 + np.abs(x)) ** 3
@@ -130,23 +140,29 @@ def _elliotsym(x):
     return x / (1.0 + np.abs(x))
 
 
+@np.errstate(over="ignore")
 def _d_elliotsym(x):
     return 1.0 / (1.0 + np.abs(x)) ** 2
 
 
+@np.errstate(over="ignore")
 def _d2_elliotsym(x):
     return -2.0 * np.sign(x) / (1.0 + np.abs(x)) ** 3
 
 
 # integral form (2/sqrt(pi)) int_0^x exp(-t^2/2) dt == sqrt(2) erf(x/sqrt(2))
+# scipy is imported here, so only erf runs load it
 def _erfact(x):
+    from scipy.special import erf
     return _SQRT2 * erf(np.asarray(x, dtype=float) / _SQRT2)
 
 
+@np.errstate(over="ignore")
 def _d_erfact(x):
     return _TWO_OVER_SQRT_PI * np.exp(-0.5 * x * x)
 
 
+@np.errstate(over="ignore")
 def _d2_erfact(x):
     return -_TWO_OVER_SQRT_PI * x * np.exp(-0.5 * x * x)
 
@@ -195,7 +211,7 @@ def _d2_relu(x):
 # arguments within [-50, 50], which covers every estimator use at desk scale.
 _BUILTINS = {
     "softplus": ActivationFunction(
-        "softplus", _softplus, _d_softplus, _d2_softplus,
+        "softplus", _softplus, _sigmoid, _d_sigmoid,
         value_bound=None, deriv_lipschitz=0.2625, grad_H_bound=13.1355,
         claimed_c1=True),
     "sigmoid": ActivationFunction(

@@ -6,7 +6,9 @@ Subcommands: generate, train, diagnose, verify <suite>, plotdata.  Each
 build_parser); a train flag overrides the run config key it is named after,
 a dataset flag the recipe key in RECIPE_KEYS, and --activation the config's
 activation.  A config key that nothing reads is an error.
-Exit codes: 0 pass, 1 suite failure, 2 usage/config error, 3 numeric failure.
+Exit codes: 0 pass, 1 suite failure, 2 usage/config error, 3 numeric failure
+(a NumericsError, or an overflow, invalid operation or division by zero in
+numpy).
 
 File-writing commands refuse to overwrite existing outputs unless --force is
 given; with identical inputs plus --force every command is idempotent.
@@ -18,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -472,12 +475,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        # an overflow, invalid operation or division by zero in numpy is a
+        # numeric failure, not a warning printed ahead of one
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ConfigError, IoError, FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        # numpy names only the operation; the innermost frame of this
+        # package names the quantity
+        frame = [f for f in traceback.extract_tb(exc.__traceback__)
+                 if Path(f.filename).parent == Path(__file__).parent][-1]
+        print(f"numeric failure: {exc} in {Path(frame.filename).stem}.{frame.name}",
+              file=sys.stderr)
         return 3
 
 

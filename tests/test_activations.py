@@ -1,12 +1,19 @@
-"""Activation bundles: derivative consistency, bounds, and the interval
-degeneracy probe."""
+"""Activation bundles: derivative consistency, bounds, the numpy sigmoid's
+contract, and the interval degeneracy probe."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
+from scipy.special import expit
 
 from twolayer_opt import (ACTIVATION_NAMES, PAPER_ACTIVATIONS,
-                          builtin_activation, c1_probe)
+                          builtin_activation, c1_probe, certify,
+                          make_realizable, model)
 
 # kinked at 0: exclude a neighbourhood of the kink from derivative grids
 KINKED = {"elliot", "elliot_symmetric", "relu"}
@@ -57,6 +64,55 @@ def test_erf_scaling_against_quadrature():
         expected, _ = quad(lambda t: 2.0 / np.sqrt(np.pi) * np.exp(-0.5 * t * t), 0.0, x)
         assert a.eval(x) == pytest.approx(expected, rel=1e-12)
     assert a.value_bound == pytest.approx(np.sqrt(2.0))
+
+
+class TestSigmoid:
+    """The sigmoid, and softplus' derivative, are scipy.special.expit's
+    formula on numpy: the same saturation, a few ulp of SIMD exp apart."""
+
+    FUNCS = (builtin_activation("sigmoid").eval,
+             builtin_activation("softplus").deriv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 64),
+                      elements=st.one_of(st.floats(-800.0, 40.0),
+                                         st.floats(allow_nan=False))))
+    def test_matches_expit(self, x):
+        exact = expit(x)
+        normal = exact >= np.finfo(float).tiny
+        for f in self.FUNCS:
+            y = f(x)
+            # ulp distance of two non-negative doubles: their bit patterns'
+            ulps = np.abs(y.view(np.int64) - exact.view(np.int64))
+            assert np.all(ulps[normal] <= 4)
+            assert np.all(y[exact == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["eval", "deriv", "deriv2"])
+    def test_no_warning_at_extremes(self, kind):
+        f = getattr(builtin_activation("sigmoid"), kind)
+        x = np.array([1e300, -1e300, 800.0, -800.0, np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = f(x)
+            scalars = [f(float(v)) for v in x]
+        assert np.isnan(y[-1]) and np.all(np.isfinite(y[:-1]))
+        np.testing.assert_array_equal(scalars, y)
+
+    def test_float_in_float_out(self):
+        for f in self.FUNCS:
+            y = f(0.5)
+            assert type(y) is type(expit(0.5)) and isinstance(y, float)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_saturated_network_is_rank_deficient(self, seed):
+        # every h'(w^T u) is exactly 0, so D is 0; a sigmoid floored above 0
+        # (by clipping exp's argument) leaves ~1e-310 in D and certifies
+        # seeds 0, 4 and 8 with a zero bound against residuals of 2.9 to 4.5
+        params = model.random_params(np.random.default_rng(seed), 3,
+                                     w_scale=1e160)
+        cert = certify(params, builtin_activation("sigmoid"),
+                       make_realizable(3, 9, seed=0))
+        assert cert.verdict == "rank_deficient"
 
 
 @pytest.mark.parametrize("name", ACTIVATION_NAMES)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twolayer_opt import (FormatError, RunConfig, builtin_activation, certify,
-                          cli, dataset, model)
+from twolayer_opt import (PAPER_ACTIVATIONS, FormatError, RunConfig,
+                          builtin_activation, certify, cli, dataset, model)
 from twolayer_opt.cli import TRAJECTORY_COLUMNS, main, read_trajectory_csv
 
 
@@ -237,7 +237,7 @@ def test_bad_run_setting_flag(tmp_path, capsys, flag, value, setting):
 
 def test_non_finite_theta_hessian(tmp_path, capsys):
     # softplus features of a W scaled by 1e160 are finite, their squares in
-    # G = H^T H / N are not
+    # f and in G = H^T H / N are not
     assert run_cli("train", "--d", "3", "--n-samples", "9", "--activation",
                    "softplus", "--w-scale", "1e160",
                    "--out", str(tmp_path / "runs")) == 3
@@ -245,26 +245,72 @@ def test_non_finite_theta_hessian(tmp_path, capsys):
     assert err.startswith("numeric failure") and err.count("\n") == 1
 
 
-def test_no_heavy_scipy_modules(tmp_path):
-    # scipy.special is the one scipy module the program needs; importing
-    # scipy.signal, scipy.linalg or scipy.sparse would raise a train run's
-    # peak memory by megabytes
-    script = f"""
-import contextlib, io, sys
-from twolayer_opt.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["train", "--d", "3", "--n-samples", "9", "--n-outer", "3",
-                 "--out", {str(tmp_path)!r}]) == 0
-    assert main(["verify", "certify"]) == 0
-print(sorted({{".".join(m.split(".")[:2]) for m in sys.modules}}
-             & {{"scipy.signal", "scipy.linalg", "scipy.sparse"}}))
-"""
+def _run_python(script):
+    """stdout of `script` run by a fresh interpreter on this source tree."""
     src = Path(cli.__file__).parents[1]
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, timeout=300,
                             env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_no_heavy_scipy_modules(tmp_path, capsys):
+    # the program imports numpy alone; scipy (about 25 MB and 0.3 s) is
+    # loaded only by the erf activation, which needs scipy.special.erf
+    assert _run_python(f"""
+import contextlib, io, sys
+from twolayer_opt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["train", "--d", "3", "--n-samples", "9", "--n-outer", "3",
+                 "--out", {str(tmp_path / "sigmoid")!r}]) == 0
+    assert main(["verify", "certify"]) == 0
+print([m for m in sys.modules if m.startswith("scipy")])
+""") == "[]\n"
+
+    erf = ["train", "--d", "3", "--n-samples", "9", "--n-outer", "3",
+           "--activation", "erf"]
+    assert _run_python(f"""
+import contextlib, io, sys
+from twolayer_opt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({erf + ["--out", str(tmp_path / "child")]!r}) == 0
+print("scipy.special" in sys.modules)
+""") == "True\n"
+    assert run_cli(*erf, "--out", str(tmp_path / "parent")) == 0
+    capsys.readouterr()
+    name = "run_rep0.trajectory.csv"
+    assert ((tmp_path / "child" / name).read_bytes()
+            == (tmp_path / "parent" / name).read_bytes())
+
+
+def test_saturated_networks_one_stderr_line(tmp_path):
+    # at W ~ 1e160 every bounded paper activation saturates to its limit
+    # without a warning (exit 0); softplus, unbounded, overflows, which is
+    # one line (exit 3).  "always" prints each warning that a plain process
+    # would print once
+    outcomes = json.loads(_run_python(f"""
+import contextlib, io, json, warnings
+from twolayer_opt.activations import PAPER_ACTIVATIONS
+from twolayer_opt.cli import main
+warnings.simplefilter("always")
+outcomes = {{}}
+for name in PAPER_ACTIVATIONS:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["train", "--d", "3", "--n-samples", "9", "--activation", name,
+                     "--w-scale", "1e160", "--out", {str(tmp_path)!r} + "/" + name])
+    outcomes[name] = [code, err.getvalue()]
+print(json.dumps(outcomes))
+"""))
+    code, err = outcomes.pop("softplus")
+    assert outcomes == {name: [0, ""] for name in PAPER_ACTIVATIONS
+                        if name != "softplus"}
+    # the line names the operation and where it overflowed: f of softplus
+    # features ~1e160 at the first trajectory row
+    assert code == 3 and err.count("\n") == 1
+    assert err.startswith("numeric failure: overflow")
+    assert err.endswith(" in model.objective\n")
 
 
 class TestDiagnose:
