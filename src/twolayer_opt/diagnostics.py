@@ -7,13 +7,18 @@ the smallest column singular value of D is positive,
     ||s||_2 <= N ||grad_W f||_F / sigma_min(D).
 
 A small gradient plus a well-conditioned D therefore pins the residual (and
-the loss) near zero.  The certificate exists only when N <= n*d: a wide D
-(n*d < N) has sigma_min(D) = 0 by shape, so column_sigma_extremes decides
-that case without an SVD.  certificate is the one place this arithmetic is
-done: certify applies it at a point, and optimizer.run at every iterate,
-from the stationarity system and gradient it already holds.  "Full rank"
-statements about random feature collections are probed by Monte-Carlo at an
-SVD tolerance; they admit no finite certificate.
+the loss) near zero.  sigma_max(D) serves only the verdict's rank test
+sigma_min <= rank_tol * sigma_max, so column_sigma_extremes computes only
+what that test needs: a wide D (n*d < N, where the certificate cannot
+exist) has sigma_min(D) = 0 by shape; a square D with at least
+INVERSE_MIN_COLUMNS columns gets sigma_min by block inverse iteration,
+accepted only when it has converged and D is of full rank for certain;
+every other D takes the SVD.  The certificate's `spectrum` names the route.
+certificate is the one place this arithmetic is done: certify applies it at
+a point, and optimizer.run at every iterate, from the stationarity system
+and gradient it already holds.  "Full rank" statements about random feature
+collections are probed by Monte-Carlo at an SVD tolerance; they admit no
+finite certificate.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
 
 DEFAULT_RANK_TOL = 1e-10
+# column_sigma_extremes' inverse route: square D with at least
+# INVERSE_MIN_COLUMNS columns (below it the SVD is as fast), a start block
+# of INVERSE_BLOCK columns drawn from seed INVERSE_SEED, INVERSE_SOLVES
+# LU solves
+INVERSE_MIN_COLUMNS = 512
+INVERSE_BLOCK = 32
+INVERSE_SEED = 0
+INVERSE_SOLVES = 4
 
 
 @dataclass(frozen=True)
@@ -70,12 +83,13 @@ class LipschitzEstimate:
 class GlobalCertificate:
     grad_norm: float
     sigma_min_D: float
-    sigma_max_D: float
+    sigma_max_D: Optional[float]   # None when no SVD of D ran
     residual_norm: float
     certified_bound: float
     loss_value: float
     verdict: str   # certified_near_global | rank_deficient | inconclusive
     rank_tol: float
+    spectrum: str  # column_sigma_extremes' route: shape | svd | inverse
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -198,33 +212,73 @@ def lipschitz_ball_bound(a: ActivationFunction, ds: "Dataset", R: float) -> floa
     return _w_smoothness(a, ds, r, r)[0]
 
 
-def column_sigma_extremes(M: np.ndarray):
-    """(sigma_min, sigma_max) with sigma_min the smallest *column* singular
-    value of M.
+def _inverse_sigma_min(M: np.ndarray, rank_tol: float):
+    """sigma_min of a square M by block inverse iteration, or None when the
+    SVD has to decide.
 
-    A wide M (fewer rows than columns) has column rank below its column
-    count, so sigma_min = 0 exactly and no factorization is needed; sigma_max
-    then comes from the largest eigenvalue of the small Gram M M^T.  This is
-    the shape rule of the certificate: it exists only when N <= n*d, and a
-    wide D costs no SVD.  Square and tall M take the full SVD.  Non-finite
-    entries raise NumericsError on both paths."""
+    A fixed-seed INVERSE_BLOCK-column block goes through INVERSE_SOLVES
+    solves, alternately with M^T and M, each followed by a QR, X = Q R.
+    Once the block entering a solve is orthonormal, 1 / ||R||_2 is a Ritz
+    value of M: an upper bound on sigma_min that falls with every solve.
+    The last block gets a Rayleigh-Ritz step, sigma_min(M Q).  With
+    ||M||_F >= sigma_max and tol = sqrt(n) eps ||M||_F <= n eps sigma_max,
+    the value is accepted only when
+      * the Ritz values contract: the error left after the last solve,
+        extrapolated geometrically from the last two changes, is <= tol;
+      * it lies above the guard band: sigma_min - tol > rank_tol ||M||_F,
+        so that sigma_min > rank_tol * sigma_max for certain.
+    A singular or non-finite solve returns None as well."""
+    n = M.shape[1]
+    frob = float(np.linalg.norm(M))   # no overflow: entries lie in (1e-100, 1e100)
+    tol = math.sqrt(n) * np.finfo(float).eps * frob
+    Q = np.random.default_rng(INVERSE_SEED).standard_normal((n, INVERSE_BLOCK))
+    ritz = []
+    for i in range(INVERSE_SOLVES):
+        try:
+            X = np.linalg.solve(M.T if i % 2 == 0 else M, Q)
+        except np.linalg.LinAlgError:   # an exactly singular pivot
+            return None
+        if not np.isfinite(X).all():
+            return None
+        Q, R = np.linalg.qr(X)
+        ritz.append(1.0 / float(np.linalg.norm(R, 2)))
+    sigma_min = float(np.linalg.svd(M @ Q, compute_uv=False)[-1])
+    step, last = ritz[-3] - ritz[-2], ritz[-2] - sigma_min
+    if not (step > last and last * last <= tol * (step - last)):
+        return None
+    return sigma_min if sigma_min - tol > rank_tol * frob else None
+
+
+def column_sigma_extremes(M: np.ndarray, *, rank_tol: float = DEFAULT_RANK_TOL):
+    """(sigma_min, sigma_max) with sigma_min the smallest *column* singular
+    value of M; sigma_max is None when no SVD ran.
+
+    Each shape takes the route that the certificate's verdict needs:
+      * wide M (fewer rows than columns): column rank is below the column
+        count, so sigma_min = 0 by shape, with no factorization at all.
+        The certificate exists only when N <= n*d.
+      * square M with at least INVERSE_MIN_COLUMNS columns (the measured
+        crossover) and entries of magnitude in (1e-100, 1e100):
+        sigma_min by _inverse_sigma_min's block inverse iteration, which
+        also decides that sigma_min > rank_tol * sigma_max.  When it does
+        not accept its value, the SVD decides.
+      * every other M: the full SVD, which alone gives sigma_max.
+    Non-finite entries raise NumericsError on every route."""
     M = np.asarray(M, dtype=float)
+    m, n = M.shape
     if M.size == 0:
-        return 0.0, 0.0
+        return 0.0, (None if m < n else 0.0)
     lo, hi = float(M.min()), float(M.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericsError("non-finite entries in D")
-    m, n = M.shape
-    if m >= n:
-        svals = np.linalg.svd(M, compute_uv=False)
-        return float(svals[-1]), float(svals[0])
-    # M M^T could overflow or underflow where the SVD (which scales itself)
-    # would not: rescale such an M by a power of two, which is exact.
-    peak = max(-lo, hi)
-    scale = 1.0 if 1e-100 < peak < 1e100 else math.ldexp(1.0, math.frexp(peak)[1])
-    S = M if scale == 1.0 else M / scale
-    top = float(np.linalg.eigvalsh(S @ S.T)[-1])
-    return 0.0, scale * math.sqrt(max(top, 0.0))
+    if m < n:
+        return 0.0, None
+    if m == n >= INVERSE_MIN_COLUMNS and 1e-100 < max(-lo, hi) < 1e100:
+        sigma_min = _inverse_sigma_min(M, rank_tol)
+        if sigma_min is not None:
+            return sigma_min, None
+    svals = np.linalg.svd(M, compute_uv=False)
+    return float(svals[-1]), float(svals[0])
 
 
 def certificate(system: StationaritySystem, grad: np.ndarray,
@@ -234,10 +288,17 @@ def certificate(system: StationaritySystem, grad: np.ndarray,
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     grad_norm = float(np.linalg.norm(grad))
-    sigma_min, sigma_max = column_sigma_extremes(system.D)
+    sigma_min, sigma_max = column_sigma_extremes(system.D, rank_tol=rank_tol)
+    m, n = system.D.shape
     N = len(system.s)
     bound = N * grad_norm / sigma_min if sigma_min > 0.0 else float("inf")
-    if sigma_min <= rank_tol * sigma_max or sigma_max == 0.0:
+    if sigma_max is None:   # the shape or the inverse route decided the rank
+        spectrum = "shape" if m < n else "inverse"
+        rank_deficient = sigma_min == 0.0
+    else:
+        spectrum = "svd"
+        rank_deficient = sigma_min <= rank_tol * sigma_max or sigma_max == 0.0
+    if rank_deficient:
         verdict = "rank_deficient"
     elif math.isfinite(bound):
         verdict = "certified_near_global"
@@ -252,6 +313,7 @@ def certificate(system: StationaritySystem, grad: np.ndarray,
         loss_value=objective(system.s),
         verdict=verdict,
         rank_tol=rank_tol,
+        spectrum=spectrum,
     )
 
 

@@ -348,11 +348,13 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
     f_init = loss(params, a, ds)
 
     rows = []   # one {TrajectoryRecord field: value} per row
+    spectrum = {}   # rows per column_sigma_extremes route
 
     def record(k, p, summary):
         sys = stationarity_system(p, a, ds)
         g = grad_W(p, a, ds)
         cert = certificate(sys, g)
+        spectrum[cert.spectrum] = spectrum.get(cert.spectrum, 0) + 1
         row = dict(k=k, f=cert.loss_value, grad_norm=cert.grad_norm,
                    sigma_min_w=svd_rank(p.W).sigma_min,
                    sigma_min_d=cert.sigma_min_D, resid_norm=cert.residual_norm,
@@ -378,7 +380,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
         derived={
             "n_outer": n_outer, "n_inner": cfg.n_inner, "sigma": cfg.sigma,
             "gamma": gamma, "L_ball": L_ball, "R": cfg.R,
-            "f_init": f_init, "seed": cfg.seed,
+            "f_init": f_init, "seed": cfg.seed, "spectrum": spectrum,
         },
     )
     return params, trajectory

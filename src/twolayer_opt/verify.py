@@ -225,5 +225,6 @@ def suite_certify(activation: str, seed: int, rank_tol: float) -> list:
              if np.isfinite(cert.certified_bound) and cert.certified_bound > 0
              else float("inf"))
     return [_check("residual_over_certified_bound", ratio, "<=", 1 + 1e-8),
-            _check("sigma_min_D_positive", cert.sigma_min_D, ">", 0.0),
+            {**_check("sigma_min_D_positive", cert.sigma_min_D, ">", 0.0),
+             "spectrum": cert.spectrum},
             _check("verdict", cert.verdict, "==", "certified_near_global")]

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import svd_extremes
 
 from twolayer_opt import (PAPER_ACTIVATIONS, FormatError, RunConfig,
-                          builtin_activation, certify, cli, dataset, model)
+                          builtin_activation, certify, cli, dataset,
+                          diagnostics, model)
 from twolayer_opt.cli import TRAJECTORY_COLUMNS, main, read_trajectory_csv
 
 
@@ -119,6 +121,39 @@ class TestTrain:
         assert derived["n_inner"] == 6
         assert derived["sigma"] == pytest.approx(1.0 / np.sqrt(6))
         assert derived["gamma"] == pytest.approx(1.0 / derived["L_ball"])
+
+    @pytest.mark.parametrize("flags, deficient_rows", [
+        (["--w-scale", "0"], 3),   # W = 0, then two small steps from it
+        (["--activation", "softplus", "--w-scale", "1e4"], 0),
+    ], ids=["zero_W", "saturated_softplus"])
+    def test_square_D_routes(self, tmp_path, monkeypatch, flags, deficient_rows):
+        # D is 529 x 529.  A rank-deficient row takes the SVD, and no
+        # iterate of the inverse route raises under main's np.errstate
+        assert run_cli("generate", "--d", "23", "--n-samples", "529",
+                       "--out", str(tmp_path), "--name", "data") == 0
+        rows = []   # (column_sigma_extremes, SVD reference) per row
+        program = diagnostics.column_sigma_extremes
+
+        def checked(D, **kwargs):
+            rows.append((program(D, **kwargs), svd_extremes(D)))
+            return rows[-1][0]
+
+        monkeypatch.setattr(diagnostics, "column_sigma_extremes", checked)
+        assert run_cli("train", "--data", str(tmp_path / "data.csv"), *flags,
+                       "--n-outer", "2", "--n-inner", "5",
+                       "--out", str(tmp_path / "runs"), "--name", "r") == 0
+        manifest = json.loads((tmp_path / "runs" / "r_rep0.manifest.json").read_text())
+        spectrum = manifest["derived"]["spectrum"]
+        assert sum(spectrum.values()) == len(rows) == 3
+        assert spectrum.get("svd", 0) == sum(got[1] is not None for got, _ in rows)
+        deficient = [sigma_min <= 1e-10 * sigma_max for _, (sigma_min, sigma_max) in rows]
+        assert sum(deficient) == deficient_rows
+        for (got, (sigma_min, sigma_max)), rank_deficient in zip(rows, deficient):
+            if got[1] is None:   # the inverse route: full rank by the SVD too
+                assert not rank_deficient
+                assert abs(got[0] - sigma_min) <= 529 * np.finfo(float).eps * sigma_max
+            else:
+                assert got == (sigma_min, sigma_max)
 
     def test_realizable_descent(self, tmp_path):
         data = self._generate(tmp_path)
@@ -324,6 +359,7 @@ class TestDiagnose:
         assert "sigma_min(D)" in out and "verdict" in out
         report = json.loads((tmp_path / "diag" / "diagnose.json").read_text())
         assert "certificate" in report and "sigma_min_D" in report["certificate"]
+        assert report["certificate"]["spectrum"] == "svd"
 
     def test_params_activation(self, tmp_path, capsys):
         run_cli("generate", "--d", "3", "--n-samples", "9",
@@ -404,6 +440,9 @@ class TestVerify:
 
     def test_certify_suite(self, capsys):
         assert run_cli("verify", "certify") == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[1]["check"] == "sigma_min_D_positive"
+        assert checks[1]["spectrum"] == "svd"
 
     def test_certify_suite_fails_linear_control(self, capsys):
         assert run_cli("verify", "certify", "--activation", "linear") == 1

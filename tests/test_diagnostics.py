@@ -140,16 +140,34 @@ class TestLipschitzEstimates:
             assert est.l_w_bound <= ball * (1 + 1e-12)
 
 
+def square_khatri_rao(rng, n, d):
+    """Square D (N = n*d) from Gaussian A and uniform-cube U."""
+    N = n * d
+    return model.khatri_rao(rng.normal(size=(N, n)),
+                            rng.uniform(-1.0, 1.0, size=(N, d)))
+
+
+def certify_D(D, rank_tol=diagnostics.DEFAULT_RANK_TOL):
+    """The certificate of D with a unit residual and gradient."""
+    system = model.StationaritySystem(D=D, s=np.ones(D.shape[1]))
+    return diagnostics.certificate(system, np.ones(1), rank_tol)
+
+
+def svd_verdict(D, rank_tol=diagnostics.DEFAULT_RANK_TOL):
+    sigma_min, sigma_max = svd_extremes(D)
+    return ("rank_deficient" if sigma_min <= rank_tol * sigma_max
+            else "certified_near_global")
+
+
 class TestColumnSigmaExtremes:
     @staticmethod
     def check_against_svd(M):
         got = diagnostics.column_sigma_extremes(M)
         want = svd_extremes(M)
         if M.shape[0] < M.shape[1]:
-            assert got[0] == 0.0
+            assert got == (0.0, None)
         else:
             assert got == want
-        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 12)),
@@ -171,7 +189,8 @@ class TestColumnSigmaExtremes:
 
     @pytest.mark.parametrize("shape", [(3, 7), (4, 4), (7, 3)])
     def test_zero_matrix(self, shape):
-        assert diagnostics.column_sigma_extremes(np.zeros(shape)) == (0.0, 0.0)
+        want = (0.0, None if shape[0] < shape[1] else 0.0)
+        assert diagnostics.column_sigma_extremes(np.zeros(shape)) == want
 
     @pytest.mark.parametrize("shape", [(3, 7), (4, 4), (7, 3)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -180,6 +199,86 @@ class TestColumnSigmaExtremes:
         M[1, 2] = bad
         with pytest.raises(NumericsError):
             diagnostics.column_sigma_extremes(M)
+
+    @settings(max_examples=8, deadline=None)
+    @given(nd=st.sampled_from([(16, 32), (23, 23), (24, 24), (20, 30), (25, 25)]),
+           log_scale=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_route_matches_svd(self, nd, log_scale, seed):
+        # columns scaled over 10^log_scale take cond(D) up to about 1e8
+        rng = np.random.default_rng(seed)
+        D = square_khatri_rao(rng, *nd)
+        D = D * np.logspace(0.0, -log_scale, D.shape[1])[rng.permutation(D.shape[1])]
+        sigma_min, sigma_max = svd_extremes(D)
+        cert = certify_D(D)
+        assert abs(cert.sigma_min_D - sigma_min) <= \
+            max(D.shape) * np.finfo(float).eps * sigma_max
+        assert cert.verdict == svd_verdict(D)
+
+    def test_inverse_route_taken(self, rng):
+        D = square_khatri_rao(rng, 23, 23)
+        got = diagnostics.column_sigma_extremes(D)
+        assert got[1] is None
+        sigma_min, sigma_max = svd_extremes(D)
+        assert abs(got[0] - sigma_min) <= 529 * np.finfo(float).eps * sigma_max
+        cert = certify_D(D)
+        assert (cert.spectrum, cert.sigma_max_D) == ("inverse", None)
+        assert cert.verdict == "certified_near_global"
+
+    @staticmethod
+    def check_svd_fallback(D, rank_tol=diagnostics.DEFAULT_RANK_TOL):
+        cert = certify_D(D, rank_tol)
+        assert cert.spectrum == "svd"
+        assert (cert.sigma_min_D, cert.sigma_max_D) == svd_extremes(D)
+        assert cert.verdict == svd_verdict(D, rank_tol)
+        return cert
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    @pytest.mark.parametrize("last_sample", ["repeated", "zero"])
+    def test_fallback_singular_sample(self, rng, last_sample, scale):
+        # a repeated sample repeats a column of D; u_i = 0 zeroes one, and
+        # LU meets an exactly zero pivot.  Entries outside (1e-100, 1e100)
+        # go straight to the SVD, which scales itself, and the CLI's
+        # errstate would turn an overflow into an error
+        N = 529
+        A, U = rng.normal(size=(N, 23)), rng.uniform(-1.0, 1.0, size=(N, 23))
+        if last_sample == "repeated":
+            A[-1], U[-1] = A[0], U[0]
+        else:
+            U[-1] = 0.0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cert = self.check_svd_fallback(scale * model.khatri_rao(A, U))
+        assert cert.verdict == "rank_deficient"
+
+    def test_fallback_zero_W(self, rng):
+        p, ds = random_instance(rng, d=23, n=23, N=529)
+        system = model.stationarity_system(
+            NetworkParams(np.zeros((23, 23)), p.theta), SIG, ds)
+        cert = self.check_svd_fallback(system.D)
+        assert cert.verdict == "rank_deficient"
+
+    def test_fallback_guard_band(self, rng):
+        # rank_tol sigma_max < sigma_min <= rank_tol ||D||_F: the SVD decides
+        # (full rank), not the inverse route
+        D = square_khatri_rao(rng, 23, 23)
+        sigma_min, sigma_max = svd_extremes(D)
+        rank_tol = sigma_min / np.sqrt(sigma_max * np.linalg.norm(D))
+        assert rank_tol * sigma_max < sigma_min <= rank_tol * np.linalg.norm(D)
+        cert = self.check_svd_fallback(D, rank_tol)
+        assert cert.verdict == "certified_near_global"
+
+    def test_fallback_ritz_not_converged(self, rng):
+        # singular values 1 ... 1.1 in equal steps: 32 columns cannot
+        # separate the smallest one in 4 solves
+        Q = np.linalg.qr(rng.normal(size=(512, 512)))[0]
+        self.check_svd_fallback(Q * np.linspace(1.0, 1.1, 512))
+
+    def test_fallback_overflowing_solve(self):
+        # a denormal pivot: the solve overflows, under the CLI's errstate
+        D = np.eye(512)
+        D[-1, -1] = 1e-310
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cert = self.check_svd_fallback(D)
+        assert cert.verdict == "rank_deficient"
 
 
 class TestCertify:
@@ -209,12 +308,23 @@ class TestCertify:
         p, ds = random_instance(rng, d=2, n=2, N=10)
         cert = certify(p, SIG, ds)
         assert cert.verdict == "rank_deficient"
+        assert (cert.spectrum, cert.sigma_max_D) == ("shape", None)
+
+    def test_small_square_takes_svd(self, rng):
+        p, ds = random_instance(rng, d=3, n=3, N=9)
+        cert = certify(p, SIG, ds)
+        D = model.stationarity_system(p, SIG, ds).D
+        assert cert.spectrum == "svd"
+        assert (cert.sigma_min_D, cert.sigma_max_D) == svd_extremes(D)
 
     def test_report_is_json_friendly(self, rng):
         import json
         p, ds = random_instance(rng, d=3, n=3, N=9)
-        blob = json.dumps(certify(p, SIG, ds).to_dict())
-        assert "sigma_min_D" in blob
+        blob = json.loads(json.dumps(certify(p, SIG, ds).to_dict()))
+        assert "sigma_min_D" in blob and blob["spectrum"] == "svd"
+        p, ds = random_instance(rng, d=2, n=2, N=10)
+        wide = json.loads(json.dumps(certify(p, SIG, ds).to_dict()))
+        assert wide["sigma_max_D"] is None and wide["spectrum"] == "shape"
 
 
 class TestPerturbationRankTrial:

@@ -321,6 +321,28 @@ class TestRun:
             np.testing.assert_array_equal(vals, r2.columns()[col])
         assert np.all(r1.sigma_min_d == 0.0)
         assert certify(p1, SIG, ds).verdict == "rank_deficient"
+        assert r1.derived["spectrum"] == {"shape": 9}
+
+    def test_inverse_route_rows_match_svd(self, monkeypatch):
+        # D is 529 x 529: every row takes the block inverse iteration, and
+        # each row's sigma_min_D is checked against the SVD of its own D
+        ds = make_realizable(23, 529, seed=2)
+        references = []
+        program = diagnostics.column_sigma_extremes
+
+        def checked(D, **kwargs):
+            references.append(svd_extremes(D))
+            return program(D, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "column_sigma_extremes", checked)
+        cfg = RunConfig(n_outer=2, n_inner=5, sigma=0.2, seed=1)
+        _, rec = run(SIG, ds, cfg)
+        assert rec.derived["spectrum"] == {"inverse": 3}
+        assert len(references) == len(rec) == 3
+        eps = np.finfo(float).eps
+        for got, (sigma_min, sigma_max) in zip(rec.sigma_min_d, references):
+            assert sigma_min > 1e-10 * sigma_max   # the SVD's verdict: full rank
+            assert abs(got - sigma_min) <= 529 * eps * sigma_max
 
     @pytest.mark.parametrize("N", [9, 30], ids=["square_D", "wide_D"])
     def test_final_row_is_the_certificate(self, N):
@@ -337,6 +359,7 @@ class TestRun:
         cfg = RunConfig(n_outer=15, n_inner=4, sigma=0.2, seed=0)
         _, rec = run(SIG, ds, cfg)
         assert len(rec) == 16
+        assert rec.derived["spectrum"] == {"svd": 16}
         for vals in rec.columns().values():
             assert np.all(np.isfinite(vals))
 
