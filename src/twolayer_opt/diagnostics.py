@@ -11,7 +11,8 @@ the loss) near zero.  sigma_max(D) serves only the verdict's rank test
 sigma_min <= rank_tol * sigma_max, so column_sigma_extremes computes only
 what that test needs: a wide D (n*d < N, where the certificate cannot
 exist) has sigma_min(D) = 0 by shape; a square D with at least
-INVERSE_MIN_COLUMNS columns gets sigma_min by block inverse iteration,
+INVERSE_MIN_COLUMNS columns is factored once by QR and gets sigma_min by
+block inverse iteration on the triangular factor, by substitution,
 accepted only when it has converged and D is of full rank for certain;
 every other D takes the SVD.  The certificate's `spectrum` names the route.
 certificate is the one place this arithmetic is done: certify applies it at
@@ -40,12 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_RANK_TOL = 1e-10
 # column_sigma_extremes' inverse route: square D with at least
 # INVERSE_MIN_COLUMNS columns (below it the SVD is as fast), a start block
-# of INVERSE_BLOCK columns drawn from seed INVERSE_SEED, INVERSE_SOLVES
-# LU solves
+# of INVERSE_BLOCK columns drawn from seed INVERSE_SEED, solves with D's
+# triangular QR factor by substitution over SUBSTITUTION_BLOCK-row blocks,
+# and the Ritz values tested after each count of solves in INVERSE_SOLVES
 INVERSE_MIN_COLUMNS = 512
 INVERSE_BLOCK = 32
 INVERSE_SEED = 0
-INVERSE_SOLVES = 4
+INVERSE_SOLVES = (4, 6)
+SUBSTITUTION_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -212,41 +215,77 @@ def lipschitz_ball_bound(a: ActivationFunction, ds: "Dataset", R: float) -> floa
     return _w_smoothness(a, ds, r, r)[0]
 
 
+def _diagonal_block_inverses(R: np.ndarray) -> list:
+    """Inverses of the upper-triangular R's diagonal blocks of
+    SUBSTITUTION_BLOCK rows (the last one may be smaller).  An exactly zero
+    diagonal entry raises np.linalg.LinAlgError."""
+    b = SUBSTITUTION_BLOCK
+    return [np.linalg.inv(R[s:s + b, s:s + b]) for s in range(0, len(R), b)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _triangular_solve(R: np.ndarray, inverses: list, X: np.ndarray, *,
+                      transpose: bool) -> np.ndarray:
+    """R^{-1} X, or R^{-T} X when transpose, for the upper-triangular R by
+    block substitution with its _diagonal_block_inverses.  An overflow
+    leaves non-finite entries for the caller to test; it does not raise
+    under the CLI's np.errstate."""
+    b = SUBSTITUTION_BLOCK
+    Y = np.empty_like(X)
+    if transpose:   # R^T is lower triangular: forward substitution
+        for k, inv in enumerate(inverses):
+            s = k * b
+            Y[s:s + b] = inv.T @ (X[s:s + b] - R[:s, s:s + b].T @ Y[:s])
+    else:           # back substitution
+        for k in reversed(range(len(inverses))):
+            s = k * b
+            Y[s:s + b] = inverses[k] @ (X[s:s + b] - R[s:s + b, s + b:] @ Y[s + b:])
+    return Y
+
+
 def _inverse_sigma_min(M: np.ndarray, rank_tol: float):
     """sigma_min of a square M by block inverse iteration, or None when the
     SVD has to decide.
 
-    A fixed-seed INVERSE_BLOCK-column block goes through INVERSE_SOLVES
-    solves, alternately with M^T and M, each followed by a QR, X = Q R.
-    Once the block entering a solve is orthonormal, 1 / ||R||_2 is a Ritz
-    value of M: an upper bound on sigma_min that falls with every solve.
-    The last block gets a Rayleigh-Ritz step, sigma_min(M Q).  With
-    ||M||_F >= sigma_max and tol = sqrt(n) eps ||M||_F <= n eps sigma_max,
-    the value is accepted only when
+    M is factored once, M = Q_M R by np.linalg.qr; the triangular R has
+    M's singular values, and R^T R = M^T M.  A fixed-seed INVERSE_BLOCK-
+    column block goes through solves alternately with R^T and R
+    (_triangular_solve), each followed by a QR, X = Q R_X.  Once the block
+    entering a solve is orthonormal, 1 / ||R_X||_2 is a Ritz value of M:
+    an upper bound on sigma_min that falls with every solve.  After each
+    count of solves in INVERSE_SOLVES the block gets a Rayleigh-Ritz step,
+    sigma_min(M Q).  With ||M||_F >= sigma_max and
+    tol = sqrt(n) eps ||M||_F <= n eps sigma_max, the value is accepted
+    only when
       * the Ritz values contract: the error left after the last solve,
-        extrapolated geometrically from the last two changes, is <= tol;
+        extrapolated geometrically from the last two changes, is <= tol
+        (when it is not, the next count of solves is tried);
       * it lies above the guard band: sigma_min - tol > rank_tol ||M||_F,
         so that sigma_min > rank_tol * sigma_max for certain.
-    A singular or non-finite solve returns None as well."""
+    An exactly singular diagonal block of R or a non-finite solve returns
+    None as well."""
     n = M.shape[1]
     frob = float(np.linalg.norm(M))   # no overflow: entries lie in (1e-100, 1e100)
     tol = math.sqrt(n) * np.finfo(float).eps * frob
+    R = np.linalg.qr(M, mode="r")
+    try:
+        inverses = _diagonal_block_inverses(R)
+    except np.linalg.LinAlgError:   # an exactly zero diagonal entry of R
+        return None
     Q = np.random.default_rng(INVERSE_SEED).standard_normal((n, INVERSE_BLOCK))
     ritz = []
-    for i in range(INVERSE_SOLVES):
-        try:
-            X = np.linalg.solve(M.T if i % 2 == 0 else M, Q)
-        except np.linalg.LinAlgError:   # an exactly singular pivot
-            return None
+    for i in range(INVERSE_SOLVES[-1]):
+        X = _triangular_solve(R, inverses, Q, transpose=i % 2 == 0)
         if not np.isfinite(X).all():
             return None
-        Q, R = np.linalg.qr(X)
-        ritz.append(1.0 / float(np.linalg.norm(R, 2)))
-    sigma_min = float(np.linalg.svd(M @ Q, compute_uv=False)[-1])
-    step, last = ritz[-3] - ritz[-2], ritz[-2] - sigma_min
-    if not (step > last and last * last <= tol * (step - last)):
-        return None
-    return sigma_min if sigma_min - tol > rank_tol * frob else None
+        Q, R_X = np.linalg.qr(X)
+        ritz.append(1.0 / float(np.linalg.norm(R_X, 2)))
+        if i + 1 in INVERSE_SOLVES:
+            sigma_min = float(np.linalg.svd(M @ Q, compute_uv=False)[-1])
+            step, last = ritz[-3] - ritz[-2], ritz[-2] - sigma_min
+            if step > last and last * last <= tol * (step - last):
+                return sigma_min if sigma_min - tol > rank_tol * frob else None
+    return None
 
 
 def column_sigma_extremes(M: np.ndarray, *, rank_tol: float = DEFAULT_RANK_TOL):

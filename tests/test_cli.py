@@ -122,11 +122,14 @@ class TestTrain:
         assert derived["sigma"] == pytest.approx(1.0 / np.sqrt(6))
         assert derived["gamma"] == pytest.approx(1.0 / derived["L_ball"])
 
-    @pytest.mark.parametrize("flags, deficient_rows", [
-        (["--w-scale", "0"], 3),   # W = 0, then two small steps from it
-        (["--activation", "softplus", "--w-scale", "1e4"], 0),
+    @pytest.mark.parametrize("flags, deficient_rows, routes", [
+        # W = 0, then two small steps from it
+        (["--w-scale", "0"], 3, {"svd": 3}),
+        # poorly separated spectra: two rows converge only at 6 solves
+        (["--activation", "softplus", "--w-scale", "1e4"], 0, {"inverse": 3}),
     ], ids=["zero_W", "saturated_softplus"])
-    def test_square_D_routes(self, tmp_path, monkeypatch, flags, deficient_rows):
+    def test_square_D_routes(self, tmp_path, monkeypatch, flags, deficient_rows,
+                             routes):
         # D is 529 x 529.  A rank-deficient row takes the SVD, and no
         # iterate of the inverse route raises under main's np.errstate
         assert run_cli("generate", "--d", "23", "--n-samples", "529",
@@ -144,7 +147,8 @@ class TestTrain:
                        "--out", str(tmp_path / "runs"), "--name", "r") == 0
         manifest = json.loads((tmp_path / "runs" / "r_rep0.manifest.json").read_text())
         spectrum = manifest["derived"]["spectrum"]
-        assert sum(spectrum.values()) == len(rows) == 3
+        assert spectrum == routes
+        assert len(rows) == 3
         assert spectrum.get("svd", 0) == sum(got[1] is not None for got, _ in rows)
         deficient = [sigma_min <= 1e-10 * sigma_max for _, (sigma_min, sigma_max) in rows]
         assert sum(deficient) == deficient_rows

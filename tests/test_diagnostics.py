@@ -235,8 +235,9 @@ class TestColumnSigmaExtremes:
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
     @pytest.mark.parametrize("last_sample", ["repeated", "zero"])
     def test_fallback_singular_sample(self, rng, last_sample, scale):
-        # a repeated sample repeats a column of D; u_i = 0 zeroes one, and
-        # LU meets an exactly zero pivot.  Entries outside (1e-100, 1e100)
+        # a repeated sample repeats a column of D; u_i = 0 zeroes one, so
+        # QR's R has an exactly zero diagonal entry and its last diagonal
+        # block has no inverse.  Entries outside (1e-100, 1e100)
         # go straight to the SVD, which scales itself, and the CLI's
         # errstate would turn an overflow into an error
         N = 529
@@ -268,7 +269,7 @@ class TestColumnSigmaExtremes:
 
     def test_fallback_ritz_not_converged(self, rng):
         # singular values 1 ... 1.1 in equal steps: 32 columns cannot
-        # separate the smallest one in 4 solves
+        # separate the smallest one in 4 solves, nor in 6
         Q = np.linalg.qr(rng.normal(size=(512, 512)))[0]
         self.check_svd_fallback(Q * np.linspace(1.0, 1.1, 512))
 
@@ -278,6 +279,33 @@ class TestColumnSigmaExtremes:
         D[-1, -1] = 1e-310
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             cert = self.check_svd_fallback(D)
+        assert cert.verdict == "rank_deficient"
+
+
+class TestTriangularSolve:
+    # n = 103 is not a multiple of SUBSTITUTION_BLOCK: the last block is short
+    @pytest.fixture
+    def R(self, rng):
+        n = 3 * diagnostics.SUBSTITUTION_BLOCK + 7
+        return np.triu(rng.normal(size=(n, n))) / np.sqrt(n) + 3.0 * np.eye(n)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_matches_solve(self, rng, R, transpose):
+        X = rng.normal(size=(len(R), diagnostics.INVERSE_BLOCK))
+        inverses = diagnostics._diagonal_block_inverses(R)
+        got = diagnostics._triangular_solve(R, inverses, X, transpose=transpose)
+        want = np.linalg.solve(R.T if transpose else R, X)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+    def test_singular_diagonal_block_takes_svd(self, rng):
+        # u_i = 0 zeroes column i of D, and R[i, i] = 0 exactly: the
+        # diagonal block that holds it has no inverse
+        N, i = 529, 100
+        A, U = rng.normal(size=(N, 23)), rng.uniform(-1.0, 1.0, size=(N, 23))
+        U[i] = 0.0
+        D = model.khatri_rao(A, U)
+        assert np.linalg.qr(D, mode="r")[i, i] == 0.0
+        cert = TestColumnSigmaExtremes.check_svd_fallback(D)
         assert cert.verdict == "rank_deficient"
 
 
