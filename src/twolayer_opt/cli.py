@@ -7,8 +7,8 @@ build_parser); a train flag overrides the run config key it is named after,
 a dataset flag the recipe key in RECIPE_KEYS, and --activation the config's
 activation.  A config key that nothing reads is an error.
 Exit codes: 0 pass, 1 suite failure, 2 usage/config error, 3 numeric failure
-(a NumericsError, or an overflow, invalid operation or division by zero in
-numpy).
+(a NumericsError, an overflow in Python float arithmetic, or an overflow,
+invalid operation or division by zero in numpy).
 
 File-writing commands refuse to overwrite existing outputs unless --force is
 given; with identical inputs plus --force every command is idempotent.
@@ -317,10 +317,10 @@ def cmd_plotdata(args) -> int:
     if not traj_paths:
         raise IoError(f"no *.trajectory.csv files under {run_dir}")
     runs = [read_trajectory_csv(p) for p in traj_paths]
-    n_rows = {len(r["k"]) for r in runs}
-    if len(n_rows) != 1:
-        raise FormatError(f"trajectories under {run_dir} have differing lengths")
-    k = runs[0]["k"]
+    k = runs[0]["k"]   # the repetitions are averaged row by row under it
+    for path, run in zip(traj_paths[1:], runs[1:]):
+        if not np.array_equal(run["k"], k):
+            raise FormatError(f"{path}'s k column differs from {traj_paths[0]}'s")
     metrics = [c for c in TRAJECTORY_COLUMNS if c != "k"]
 
     out_dir = Path(args.out) if args.out else run_dir / "plotdata"
@@ -332,12 +332,11 @@ def cmd_plotdata(args) -> int:
     combined_cols = [k]
     for m, dat_path in zip(metrics, dat_paths):
         stacked = np.vstack([r[m] for r in runs])
-        series = stacked.mean(axis=0) if multi else stacked[0]
+        series = stacked.mean(axis=0)   # a single run's values, exactly
         files.write_table(dat_path, zip(k, series), sep=" ")
         if multi:
             combined_header += [f"{m}_mean", f"{m}_min", f"{m}_max"]
-            combined_cols += [stacked.mean(axis=0), stacked.min(axis=0),
-                              stacked.max(axis=0)]
+            combined_cols += [series, stacked.min(axis=0), stacked.max(axis=0)]
         else:
             combined_header.append(m)
             combined_cols.append(series)
@@ -485,13 +484,13 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except FloatingPointError as exc:
-        # numpy names only the operation; the innermost frame of this
-        # package names the quantity
+    except (FloatingPointError, OverflowError) as exc:
+        # numpy and Python float arithmetic name only the operation (last in
+        # args); the innermost frame of this package names the quantity
         frame = [f for f in traceback.extract_tb(exc.__traceback__)
                  if Path(f.filename).parent == Path(__file__).parent][-1]
-        print(f"numeric failure: {exc} in {Path(frame.filename).stem}.{frame.name}",
-              file=sys.stderr)
+        print(f"numeric failure: {exc.args[-1]} in "
+              f"{Path(frame.filename).stem}.{frame.name}", file=sys.stderr)
         return 3
 
 

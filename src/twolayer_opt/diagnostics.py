@@ -103,7 +103,7 @@ def svd_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NumericsError("non-finite entries in matrix")
     svals = np.linalg.svd(M, compute_uv=False)
     sigma_max = float(svals[0]) if svals.size else 0.0
@@ -144,7 +144,7 @@ def theta_spectrum(features: np.ndarray):
     NumericsError before the eigendecomposition."""
     features = np.asarray(features, dtype=float)
     G = features.T @ features / features.shape[0]
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise NumericsError("non-finite theta-subproblem Hessian H^T H / N")
     return np.linalg.eigh(G)
 

@@ -61,7 +61,7 @@ def read_table(path, width, rows=None, header=None) -> list:
     body = lines[first - 1:]
     if rows is not None and len(body) != rows:
         raise FormatError(f"expected {rows} rows, found {len(body)}",
-                          line=len(lines))
+                          line=max(len(lines), 1))
     out = []
     for i, line in enumerate(body):
         fields = line.split(",")
@@ -125,8 +125,8 @@ def sidecar(path) -> Path:
 def read_sidecar(path, keys: dict) -> dict:
     """The sidecar of the table at path.  keys maps each required key to its
     type, and the returned dict holds those keys converted to it; a sidecar
-    that is not a JSON object, lacks a key or holds a value of the wrong
-    kind raises FormatError."""
+    that is not a JSON object, lacks a key, or holds a value of the wrong
+    kind or a count (an int: n, d or N) below 1 raises FormatError."""
     meta_path = sidecar(path)
     meta = read_json(meta_path)
     if not isinstance(meta, dict):
@@ -135,6 +135,8 @@ def read_sidecar(path, keys: dict) -> dict:
         if key not in meta:
             raise FormatError(f"sidecar {meta_path} lacks key {key!r}")
         meta[key] = json_field(kind, meta[key], f"sidecar {meta_path} key {key!r}")
+        if kind is int and meta[key] < 1:
+            raise FormatError(f"sidecar {meta_path}: {key}={meta[key]}, need {key} >= 1")
     return meta
 
 

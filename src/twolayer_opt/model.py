@@ -47,7 +47,7 @@ class NetworkParams:
             raise ShapeError(f"need 1 <= n <= d, got n={n}, d={d}")
         if theta.shape[0] != n:
             raise ShapeError(f"theta has length {theta.shape[0]}, expected {n}")
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(theta))):
+        if not (np.isfinite(W).all() and np.isfinite(theta).all()):
             raise NumericsError("non-finite entries in network parameters")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "theta", theta)
@@ -176,8 +176,6 @@ def load_params(path):
     """Inverse of save_params; returns (NetworkParams, activation name)."""
     meta = files.read_sidecar(path, {"n": int, "d": int, "activation": str})
     n, d = meta["n"], meta["d"]
-    if n < 1:
-        raise FormatError(f"sidecar promises n={n} hidden units, need n >= 1")
     if meta["activation"] not in ACTIVATION_NAMES:
         raise FormatError(f"sidecar names unknown activation {meta['activation']!r}")
     rows = files.read_table(path, lambda i: d if i < n else n, rows=n + 1)

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -208,16 +210,16 @@ def phase_noise(rng: np.random.Generator, sigma: float, steps: int,
 
 
 def _resolve_beta(cfg: RunConfig, l_theta: float) -> float:
-    cap = np.inf if l_theta == 0.0 else 1.0 / (2.0 * l_theta)
+    cap = math.inf if l_theta == 0.0 else 1.0 / (2.0 * l_theta)
     if cfg.beta is not None:
         if cfg.beta > cap:
             raise ConfigError(
                 f"beta={cfg.beta} violates the step bound 1/(2 L_theta)={cap}")
         return cfg.beta
-    noise_cap = (np.inf if cfg.sigma == 0.0
-                 else 1.0 / np.sqrt(cfg.n_inner * cfg.sigma ** 2))
+    noise_cap = (math.inf if cfg.sigma == 0.0
+                 else 1.0 / math.sqrt(cfg.n_inner * cfg.sigma ** 2))
     beta = min(cap, noise_cap)
-    return 1.0 if not np.isfinite(beta) else beta  # zero-gradient degenerate case
+    return 1.0 if not math.isfinite(beta) else beta  # zero-gradient degenerate case
 
 
 def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
@@ -233,7 +235,7 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     diagonal.  An early exit after k steps rewinds rng and redraws k rows
     of phase_noise, leaving it where k per-step draws would.
     """
-    n_inner, sigma = cfg.n_inner, cfg.sigma
+    n_inner, sigma, early_exit = cfg.n_inner, cfg.sigma, cfg.early_exit
     radius = cfg.R / 2.0
 
     _, _, H = _features(a, p.W, ds.inputs)   # fixed during the phase
@@ -250,29 +252,31 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     # with lag = 1 - beta lam in [1/2, 1]; Q is orthogonal, so y has theta's
     # norm and projecting y projects theta
     n, N = p.n, len(v)
-    state = rng.bit_generator.state
+    state = rng.bit_generator.state if early_exit else None
     Cq = beta * (H.T @ v / N - phase_noise(rng, sigma, n_inner, n)) @ Q
     lag = 1.0 - beta * lam
 
     # the steps run on Python floats: with n a handful of hidden units, a
     # numpy call on an n-vector costs more than its arithmetic.  The
-    # projection is project_ball's, on lists.
-    f_incoming = f_of(p.theta)
+    # projection is project_ball's, on lists.  The iterates ys are summed once
+    # in running-sum order (not by sum(), which compensates on Python 3.12+)
+    f_incoming = f_of(p.theta) if early_exit else None
     lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
-    sum_y = [0.0] * n   # beta is constant: the weighted average is the mean
-    steps = 0
-    exited = False
+    ys, sum_y, exited = [], [0.0] * n, False
     for c in Cq.tolist():
         y = [g * yi + ci for g, yi, ci in zip(lag_l, y, c)]
         norm = math.hypot(*y)
         if norm > radius:
-            y = [yi * (radius / norm) for yi in y]
-        sum_y = [s + yi for s, yi in zip(sum_y, y)]
-        steps += 1
-        if cfg.early_exit and f_of(Q @ np.divide(sum_y, steps)) <= f_incoming:
-            exited = True
-            break
-    theta_avg = Q @ np.divide(sum_y, steps)
+            scale = radius / norm
+            y = [yi * scale for yi in y]
+        ys.append(y)
+        if early_exit:
+            sum_y = [s + yi for s, yi in zip(sum_y, y)]
+            if f_of(Q @ np.divide(sum_y, len(ys))) <= f_incoming:
+                exited = True
+                break
+    steps = len(ys)
+    theta_avg = Q @ np.divide([reduce(add, col, 0.0) for col in zip(*ys)], steps)
     if steps < n_inner:   # leave rng where step-by-step draws would
         rng.bit_generator.state = state
         phase_noise(rng, sigma, steps, n)
@@ -335,7 +339,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
 
     n_outer = cfg.n_outer
     if cfg.theorem2_preset:   # the inner phases' N_i and sigma
-        cfg = replace(cfg, n_inner=n_outer, sigma=1.0 / np.sqrt(n_outer))
+        cfg = replace(cfg, n_inner=n_outer, sigma=1.0 / math.sqrt(n_outer))
 
     L_ball = lipschitz_ball_bound(a, ds, cfg.R)
     gamma = cfg.gamma
@@ -361,7 +365,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
                    inner_steps=summary.steps if summary else 0,
                    inner_final_f=summary.final_f if summary else cert.loss_value)
         rows.append(row)
-        if not all(np.isfinite(row[name]) for name in
+        if not all(math.isfinite(row[name]) for name in
                    ("f", "grad_norm", "sigma_min_w", "sigma_min_d", "resid_norm")):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
         return g

@@ -284,6 +284,18 @@ def test_non_finite_theta_hessian(tmp_path, capsys):
     assert err.startswith("numeric failure") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [["--sigma", "1e200"],
+                                   ["--sigma", "1e160", "--n-inner", "5"]])
+def test_sigma_overflow(tmp_path, capsys, flags):
+    # N_i sigma^2 overflows the Python float that the step size beta is
+    # derived from
+    assert run_cli("train", "--d", "3", "--n-samples", "9", *flags,
+                   "--out", str(tmp_path / "runs")) == 3
+    err = capsys.readouterr().err
+    assert err == ("numeric failure: Numerical result out of range "
+                   "in optimizer._resolve_beta\n")
+
+
 def _run_python(script):
     """stdout of `script` run by a fresh interpreter on this source tree."""
     src = Path(cli.__file__).parents[1]
@@ -499,6 +511,23 @@ class TestPlotdata:
 
     def test_missing_dir_is_io_error(self, tmp_path):
         assert run_cli("plotdata", "--run-dir", str(tmp_path / "missing")) == 2
+
+    @pytest.mark.parametrize("edit", ["k_value", "drop_row"])
+    def test_mismatched_repetitions(self, tmp_path, capsys, edit):
+        # repetitions are averaged row by row, so their k columns must agree
+        runs = self._train(tmp_path, reps=2)
+        path = runs / "r_rep1.trajectory.csv"
+        lines = path.read_text().splitlines()
+        if edit == "k_value":
+            lines[3] = "7" + lines[3][lines[3].index(","):]
+        else:
+            del lines[-1]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("plotdata", "--run-dir", str(runs)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and err.count("\n") == 1
+        assert not (runs / "plotdata").exists()
 
     def test_multiseed_aggregates(self, tmp_path):
         runs = self._train(tmp_path, reps=3)

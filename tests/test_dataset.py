@@ -139,6 +139,29 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"'{key}'"):
             dataset.load(path)
 
+    @pytest.mark.parametrize("key, value", [("d", -1), ("d", 0), ("N", 0)])
+    def test_sidecar_count_below_one(self, tmp_path, capsys, key, value):
+        path = tmp_path / "data.csv"
+        dataset.save(dataset.make_realizable(2, 3, seed=0), path)
+        path.with_suffix(".meta.json").write_text(
+            json.dumps({"d": 2, "N": 3, key: value}))
+        with pytest.raises(FormatError, match=f"{key}={value}, need {key} >= 1"):
+            dataset.load(path)
+        assert main(["diagnose", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}={value}" in err and err.count("\n") == 1
+
+    def test_empty_table(self, tmp_path, capsys):
+        # FormatError line numbers are 1-based, an empty file's too
+        path = tmp_path / "data.csv"
+        dataset.save(dataset.make_realizable(2, 3, seed=0), path)
+        path.write_text("")
+        with pytest.raises(FormatError) as exc:
+            dataset.load(path)
+        assert exc.value.line == 1
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == "error: expected 3 rows, found 0 (line 1)\n"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             dataset.load(tmp_path / "nope.csv")

@@ -225,3 +225,12 @@ class TestParamsPersistence:
             '{"n": -1, "d": 2, "activation": "sigmoid"}')
         with pytest.raises(FormatError, match="n=-1"):
             model.load_params(path)
+
+    def test_sidecar_no_input_columns(self, tmp_path):
+        from twolayer_opt import FormatError
+        path = tmp_path / "params.csv"
+        model.save_params(NetworkParams(np.eye(2), np.ones(2)), path, "sigmoid")
+        path.with_suffix(".meta.json").write_text(
+            '{"n": 2, "d": -1, "activation": "sigmoid"}')
+        with pytest.raises(FormatError, match="d=-1, need d >= 1"):
+            model.load_params(path)

@@ -1,5 +1,6 @@
 """Prox mapping, inner SGD, outer descent, and full SGD-GD runs."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,9 +17,55 @@ from twolayer_opt import (ConfigError, NetworkParams, RunConfig,
                           svd_rank)
 from twolayer_opt.diagnostics import (lipschitz_ball_bound, lipschitz_estimates,
                                       theta_smoothness)
-from twolayer_opt.optimizer import phase_noise
+from twolayer_opt.optimizer import InnerSummary, _resolve_beta, phase_noise
 
 SIG = builtin_activation("sigmoid")
+
+
+def running_sum_inner_sgd(p, a, ds, cfg, rng):
+    """inner_sgd's eigenbasis steps with the mean kept as a running sum,
+    updated and (under early exit) tested at every step.  Returns
+    (theta_avg, InnerSummary, the 0-based steps whose iterate was
+    projected)."""
+    n_inner, sigma = cfg.n_inner, cfg.sigma
+    radius = cfg.R / 2.0
+    _, _, H = model._features(a, p.W, ds.inputs)
+    v = np.asarray(ds.labels, dtype=float)
+
+    def f_of(theta):
+        return model.objective(v - H @ theta)
+
+    lam, Q = diagnostics.theta_spectrum(H)
+    l_theta = float(lam[-1])
+    beta = _resolve_beta(cfg, l_theta)
+    n, N = p.n, len(v)
+    state = rng.bit_generator.state
+    Cq = beta * (H.T @ v / N - phase_noise(rng, sigma, n_inner, n)) @ Q
+    lag = 1.0 - beta * lam
+    f_incoming = f_of(p.theta)
+    lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
+    sum_y = [0.0] * n
+    steps = 0
+    exited = False
+    projected = []
+    for c in Cq.tolist():
+        y = [g * yi + ci for g, yi, ci in zip(lag_l, y, c)]
+        norm = math.hypot(*y)
+        if norm > radius:
+            y = [yi * (radius / norm) for yi in y]
+            projected.append(steps)
+        sum_y = [s + yi for s, yi in zip(sum_y, y)]
+        steps += 1
+        if cfg.early_exit and f_of(Q @ np.divide(sum_y, steps)) <= f_incoming:
+            exited = True
+            break
+    theta_avg = Q @ np.divide(sum_y, steps)
+    if steps < n_inner:
+        rng.bit_generator.state = state
+        phase_noise(rng, sigma, steps, n)
+    return theta_avg, InnerSummary(
+        steps=steps, final_f=f_of(theta_avg), beta=beta, l_theta=l_theta,
+        early_exit=exited), projected
 
 
 class TestProxBall:
@@ -167,6 +214,46 @@ class TestInnerSgd:
         assert (summary.steps, summary.beta, summary.early_exit) == \
             (ref.steps, ref.beta, ref.early_exit)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("early_exit", [False, True])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    @pytest.mark.parametrize("contact", ["first", "mid", "never"])
+    def test_bits_match_running_sum(self, contact, sigma, early_exit):
+        # summing the iterates once after the phase adds each coordinate in
+        # the running sum's order, so theta, the summary and the generator
+        # agree bit for bit.  For "mid" the iterates grow from theta = 0 and
+        # the radius is below the largest unprojected norm
+        exits, first_contacts = 0, []
+        for seed in range(8):
+            p, ds = random_instance(np.random.default_rng(seed), d=3, N=9)
+            cfg = RunConfig(n_outer=1, n_inner=40, sigma=sigma,
+                            R=1e6 if contact == "never" else 0.05,
+                            early_exit=early_exit)
+            if contact == "mid":
+                p = replace(p, theta=np.zeros(p.n))
+                free = replace(cfg, R=1e6, early_exit=False)
+                largest = reference_inner_sgd(p, SIG, ds, free,
+                                              np.random.default_rng(seed))[2]
+                cfg = replace(cfg, R=1.2 * largest)
+            rng_new, rng_old = (np.random.default_rng(seed) for _ in range(2))
+            theta, summary = inner_sgd(p, SIG, ds, cfg, rng_new)
+            theta_old, old, projected = running_sum_inner_sgd(p, SIG, ds, cfg,
+                                                              rng_old)
+            assert theta.tolist() == theta_old.tolist()
+            assert summary == old
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            exits += summary.early_exit
+            first_contacts.append(projected[0] if projected else None)
+        assert early_exit == (exits > 0)
+        if contact == "first":
+            assert first_contacts == [0] * 8
+        elif contact == "never":
+            assert first_contacts == [None] * 8
+        else:
+            # without noise, a first step from a feasible theta never raises
+            # f, so early exit stops every phase there, before any contact
+            assert 0 not in first_contacts
+            assert any(first_contacts) != (early_exit and sigma == 0.0)
 
     def test_l_theta_is_theta_smoothness(self, rng):
         # one L_theta formula: inner_sgd's, theta_smoothness's and
