@@ -2,7 +2,7 @@
 optimality certificates."""
 
 from .activations import (ACTIVATION_NAMES, PAPER_ACTIVATIONS,
-                          ActivationFunction, builtin_activation, c1_probe)
+                          ActivationFunction, builtin_activation)
 from .dataset import Dataset, Provenance, generate_inputs, make_realizable
 from .diagnostics import (GlobalCertificate, LipschitzEstimate, RankReport,
                           certificate, certify, collection_rank,

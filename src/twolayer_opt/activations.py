@@ -6,15 +6,17 @@ bound on the gradient of H(x1, x2) = h(x1) h'(x2).  The constant tables were
 obtained by dense numerical maximization over [-50, 50] (see
 scripts/derive_activation_bounds.py) and are stored with a 5% safety margin.
 
-`linear` and `relu` are deliberate negative controls: their derivative is
-constant on intervals, so the rank guarantees that hold for the other nine
-activations break down for them (claimed_c1 = False).
+claimed_c1 declares the paper's good class: False for the controls `linear`
+and `relu`, whose h' is constant on an interval.  The listed elliot pair
+fails the class's interval condition, (x+1) h'(x) + h(x) = 1 on x > 0, yet
+its feature collections come out full rank.  The certificate holds for any
+activation: it is linear algebra on D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,8 +34,8 @@ class ActivationFunction:
                        jumps (relu)
     grad_H_bound     : bound on ||grad H||_2 for H(x1,x2) = h(x1) h'(x2),
                        None when h'' is not defined everywhere (relu)
-    claimed_c1       : True for the nine activations whose derivative is
-                       never interval-constant / affine-reducible
+    claimed_c1       : True for the paper's nine good-class activations
+                       (see above), False for linear and relu
     """
 
     name: str
@@ -167,10 +169,6 @@ def _d2_erfact(x):
     return -_TWO_OVER_SQRT_PI * x * np.exp(-0.5 * x * x)
 
 
-def _tanh(x):
-    return np.tanh(x)
-
-
 def _d_tanh(x):
     t = np.tanh(x)
     return 1.0 - t * t
@@ -189,7 +187,7 @@ def _d_linear(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def _d2_linear(x):
+def _zero(x):   # h'' of linear, and of relu away from its kink
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -199,10 +197,6 @@ def _relu(x):
 
 def _d_relu(x):
     return (np.asarray(x, dtype=float) > 0.0).astype(float)
-
-
-def _d2_relu(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 # deriv_lipschitz / grad_H_bound: dense-grid maxima over [-50, 50] x 1.05,
@@ -243,15 +237,15 @@ _BUILTINS = {
         value_bound=_SQRT2, deriv_lipschitz=0.718617, grad_H_bound=1.336902,
         claimed_c1=True),
     "tanh": ActivationFunction(
-        "tanh", _tanh, _d_tanh, _d2_tanh,
+        "tanh", np.tanh, _d_tanh, _d2_tanh,
         value_bound=1.0, deriv_lipschitz=0.808291, grad_H_bound=1.05,
         claimed_c1=True),
     "linear": ActivationFunction(
-        "linear", _linear, _d_linear, _d2_linear,
+        "linear", _linear, _d_linear, _zero,
         value_bound=None, deriv_lipschitz=0.0, grad_H_bound=1.05,
         claimed_c1=False),
     "relu": ActivationFunction(
-        "relu", _relu, _d_relu, _d2_relu,
+        "relu", _relu, _d_relu, _zero,
         value_bound=None, deriv_lipschitz=None, grad_H_bound=None,
         claimed_c1=False),
 }
@@ -268,76 +262,3 @@ def builtin_activation(name: str) -> ActivationFunction:
         raise NameError(
             f"unknown activation {name!r}; choose one of {sorted(_BUILTINS)}"
         ) from None
-
-
-@dataclass(frozen=True)
-class IntervalProbe:
-    lo: float
-    hi: float
-    residual_constant_deriv: float
-    residual_affine_relation: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class C1ProbeReport:
-    """Outcome of the interval heuristic; verdict True = no interval admits
-    either forbidden representation at the given tolerance.
-
-    This is a numerical heuristic, not a certificate: the defining property
-    quantifies over all intervals and all constants, which no finite probe
-    can decide.
-    """
-
-    activation: str
-    tol: float
-    grid_points: int
-    intervals: Sequence[IntervalProbe] = field(default_factory=tuple)
-
-    @property
-    def verdict(self) -> bool:
-        return not any(p.flagged for p in self.intervals)
-
-
-def c1_probe(a: ActivationFunction, intervals, grid_points: int = 64,
-             tol: float = 1e-8, on_deriv: bool = False) -> C1ProbeReport:
-    """Probe whether h looks interval-degenerate on the given intervals.
-
-    On each interval (lo, hi) two least-squares fits are run over a uniform
-    grid: (i) h'(x) = c1, and (ii) x h'(x) + h(x) = c3 - c2 h'(x).  An
-    interval is flagged when either family fits with max residual <= tol,
-    i.e. the activation locally behaves like the excluded class.
-
-    Residuals are scaled by the magnitude of the fitted data on the grid, so
-    a saturated tail (where h' underflows to numerically-constant values,
-    e.g. the gaussian beyond |x| ~ 4) is not mistaken for a degenerate
-    interval.  With on_deriv=True the probe is applied to h' instead (using
-    h'').
-    """
-    if grid_points < 8:
-        raise ValueError("grid_points must be at least 8")
-    f, df = (a.deriv, a.deriv2) if on_deriv else (a.eval, a.deriv)
-    probes = []
-    for lo, hi in intervals:
-        lo, hi = float(lo), float(hi)
-        if not lo < hi:
-            raise ValueError(f"empty interval ({lo}, {hi})")
-        x = np.linspace(lo, hi, grid_points)
-        fx, dfx = np.asarray(f(x), float), np.asarray(df(x), float)
-
-        # family (i): deviation of h' from constant, relative to |h'|
-        scale_d = max(float(np.max(np.abs(dfx))), 1e-300)
-        res_const = float(np.max(np.abs(dfx - dfx.mean()))) / scale_d
-
-        # family (ii): y = c3 - c2 h'(x) with y = x h'(x) + h(x); the fit
-        # residual is relative to the spread of y (what a constant cannot
-        # already explain)
-        y = x * dfx + fx
-        design = np.column_stack([-dfx, np.ones_like(x)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        scale_y = max(float(np.max(np.abs(y - y.mean()))), 1e-300)
-        res_affine = float(np.max(np.abs(design @ coef - y))) / scale_y
-
-        flagged = res_const <= tol or res_affine <= tol
-        probes.append(IntervalProbe(lo, hi, res_const, res_affine, flagged))
-    return C1ProbeReport(a.name, tol, grid_points, tuple(probes))

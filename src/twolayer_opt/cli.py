@@ -50,8 +50,9 @@ def write_trajectory_csv(path, record: TrajectoryRecord) -> None:
 def read_trajectory_csv(path) -> dict:
     rows = files.read_table(path, len(TRAJECTORY_COLUMNS),
                             header=TRAJECTORY_COLUMNS)
-    columns = np.array(rows).reshape(-1, len(TRAJECTORY_COLUMNS)).T
-    return dict(zip(TRAJECTORY_COLUMNS, columns))
+    if not rows:   # a run writes n_outer + 1 >= 1 rows
+        raise FormatError(f"{path} holds no rows below its header", line=2)
+    return dict(zip(TRAJECTORY_COLUMNS, np.array(rows).T))
 
 
 # ------------------------------------------------------------ spec loading
@@ -378,7 +379,7 @@ SHARED_FLAGS = {
     "--activation": dict(choices=ACTIVATION_NAMES,
                          help="activation name (default: config value or sigmoid)"),
     "--seed": dict(type=seed),
-    "--rank-tol": dict(type=float, default=1e-10),
+    "--rank-tol": dict(type=float, default=diagnostics.DEFAULT_RANK_TOL),
     "--out": dict(help="output directory"),
     "--force": dict(action="store_true", help="overwrite existing outputs"),
     # the dataset recipe (RECIPE_KEYS)

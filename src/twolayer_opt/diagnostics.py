@@ -117,24 +117,20 @@ def svd_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     )
 
 
-def collection_matrix(a: ActivationFunction, W, inputs) -> np.ndarray:
-    """(d^2, N) matrix whose column i is vect(h(W u_i) u_i^T); W=None means identity."""
+def collection_rank(a: ActivationFunction, W, inputs,
+                    rank_tol: float = DEFAULT_RANK_TOL) -> RankReport:
+    """Rank report for the collection {h(W u_i) u_i^T}: the (d^2, N) matrix
+    whose column i is vect(h(W u_i) u_i^T), for a square W."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2:
         raise ShapeError(f"inputs must be (N, d), got shape {inputs.shape}")
     d = inputs.shape[1]
-    W = np.eye(d) if W is None else np.asarray(W, dtype=float)
+    W = np.asarray(W, dtype=float)
     if W.shape != (d, d):
         raise ShapeError(
             f"W must be ({d}, {d}) for {d}-dimensional inputs, got {W.shape}")
     U, _, H = _features(a, W, inputs)
-    return khatri_rao(H, U)
-
-
-def collection_rank(a: ActivationFunction, W, inputs,
-                    rank_tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    """Rank report for the collection {h(W u_i) u_i^T}."""
-    return svd_rank(collection_matrix(a, W, inputs), rank_tol)
+    return svd_rank(khatri_rao(H, U), rank_tol)
 
 
 def theta_spectrum(features: np.ndarray):

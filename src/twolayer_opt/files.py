@@ -11,10 +11,10 @@
 * Output directories: created on demand; a file already there is not
   overwritten unless the caller passes force.
 
-A file that cannot be read or written raises IoError; a malformed table
-line, JSON document or sidecar value raises FormatError, with the 1-based
-line number where one applies.  A config key that nothing reads raises
-ConfigError.
+A file that cannot be read or written raises IoError; a file that is not
+text, or a malformed table line, JSON document or sidecar value, raises
+FormatError, with the 1-based line number where one applies.  A config key
+that nothing reads raises ConfigError.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ def _read(path) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not text: {exc.reason} at byte {exc.start}") from None
 
 
 def _write(path, text: str) -> None:
@@ -60,19 +62,19 @@ def read_table(path, width, rows=None, header=None) -> list:
         raise FormatError(f"{path} lacks the header {','.join(header)}", line=1)
     body = lines[first - 1:]
     if rows is not None and len(body) != rows:
-        raise FormatError(f"expected {rows} rows, found {len(body)}",
+        raise FormatError(f"{path}: expected {rows} rows, found {len(body)}",
                           line=max(len(lines), 1))
     out = []
     for i, line in enumerate(body):
         fields = line.split(",")
         want = width(i) if callable(width) else width
         if len(fields) != want:
-            raise FormatError(f"expected {want} columns, found {len(fields)}",
+            raise FormatError(f"{path}: expected {want} columns, found {len(fields)}",
                               line=first + i)
         try:
             out.append([float(tok) for tok in fields])
         except ValueError:
-            raise FormatError("non-numeric token", line=first + i) from None
+            raise FormatError(f"{path}: non-numeric token", line=first + i) from None
     return out
 
 

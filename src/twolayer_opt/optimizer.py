@@ -216,8 +216,9 @@ def _resolve_beta(cfg: RunConfig, l_theta: float) -> float:
             raise ConfigError(
                 f"beta={cfg.beta} violates the step bound 1/(2 L_theta)={cap}")
         return cfg.beta
-    noise_cap = (math.inf if cfg.sigma == 0.0
-                 else 1.0 / math.sqrt(cfg.n_inner * cfg.sigma ** 2))
+    # a sigma below ~1e-162 squares to 0: no cap on beta, as at sigma = 0
+    noise_var = cfg.n_inner * cfg.sigma ** 2
+    noise_cap = math.inf if noise_var == 0.0 else 1.0 / math.sqrt(noise_var)
     beta = min(cap, noise_cap)
     return 1.0 if not math.isfinite(beta) else beta  # zero-gradient degenerate case
 
@@ -300,11 +301,14 @@ def outer_step(p: NetworkParams, grad: np.ndarray, gamma: float,
     return replace(p, W=p.W - gamma * grad)
 
 
+THETA_STAR_TOL = 1e-12          # solve_theta_star's gradient-map norm at exit
+THETA_STAR_MAX_ITER = 200_000   # and its step budget
+
+
 def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
-                     radius: float, tol: float = 1e-12,
-                     max_iter: int = 200_000) -> np.ndarray:
+                     radius: float) -> np.ndarray:
     """Deterministic reference minimizer of the convex theta-subproblem over
-    the ball, by projected gradient run to gradient-map norm <= tol.
+    the ball, by projected gradient run to gradient-map norm THETA_STAR_TOL.
 
     Warm-started at the (projected) least-squares solution, so convergence
     is typically immediate.
@@ -317,14 +321,14 @@ def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     eta = 1.0 / l_theta
     lstsq = np.linalg.lstsq(H, v, rcond=None)[0]
     theta = project_ball(lstsq, radius)
-    for _ in range(max_iter):
+    for _ in range(THETA_STAR_MAX_ITER):
         nxt = prox_ball(theta, eta * theta_gradient(H, v, theta), radius)
-        if np.linalg.norm(theta - nxt) / eta <= tol:
+        if np.linalg.norm(theta - nxt) / eta <= THETA_STAR_TOL:
             return nxt
         theta = nxt
     raise NumericsError(
-        f"theta-subproblem solver did not reach gradient-map tol {tol} "
-        f"in {max_iter} iterations")
+        f"theta-subproblem solver did not reach gradient-map tol "
+        f"{THETA_STAR_TOL} in {THETA_STAR_MAX_ITER} iterations")
 
 
 def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):

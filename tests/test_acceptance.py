@@ -53,7 +53,7 @@ def test_criterion_03_collection_full_rank():
                 rng = np.random.default_rng(30_000 + 1000 * d + s)
                 inputs = rng.uniform(-1.0, 1.0, size=(N, d))
                 W = rng.normal(size=(d, d))
-                for w_choice in (None, W):
+                for w_choice in (np.eye(d), W):
                     trials += 1
                     rep = collection_rank(act, w_choice, inputs, rank_tol=1e-10)
                     failures += not rep.is_full_rank()

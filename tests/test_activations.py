@@ -1,5 +1,5 @@
 """Activation bundles: derivative consistency, bounds, the numpy sigmoid's
-contract, and the interval degeneracy probe."""
+contract, and the elliot pair's interval identity."""
 
 import warnings
 
@@ -12,8 +12,8 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from twolayer_opt import (ACTIVATION_NAMES, PAPER_ACTIVATIONS,
-                          builtin_activation, c1_probe, certify,
-                          make_realizable, model)
+                          builtin_activation, certify, make_realizable,
+                          model)
 
 # kinked at 0: exclude a neighbourhood of the kink from derivative grids
 KINKED = {"elliot", "elliot_symmetric", "relu"}
@@ -166,88 +166,14 @@ def test_grad_H_bound_holds(name, rng):
     assert np.max(g2) <= a.grad_H_bound ** 2 * (1 + 1e-6)
 
 
-class TestC1Probe:
-    def test_relu_flagged_on_positive_interval(self):
-        report = c1_probe(builtin_activation("relu"), [(1.0, 2.0)], tol=1e-8)
-        assert report.intervals[0].flagged
-        assert report.verdict is False
-
-    def test_linear_flagged(self):
-        report = c1_probe(builtin_activation("linear"), [(-1.0, 1.0)], tol=1e-8)
-        assert report.intervals[0].flagged
-
-    def test_sigmoid_clean_on_random_intervals(self, rng):
-        """Cross-checked against an independent normal-equations fit."""
-        a = builtin_activation("sigmoid")
-        intervals = []
-        for _ in range(20):
-            lo = rng.uniform(-5, 4)
-            intervals.append((lo, lo + rng.uniform(0.2, 1.0)))
-        report = c1_probe(a, intervals, grid_points=64, tol=1e-8)
-        assert report.verdict is True
-
-        lo, hi = intervals[0]
-        x = np.linspace(lo, hi, 64)
-        y = x * a.deriv(x) + a.eval(x)
-        A = np.column_stack([-a.deriv(x), np.ones_like(x)])
-        coef = np.linalg.solve(A.T @ A, A.T @ y)
-        resid = (float(np.max(np.abs(A @ coef - y)))
-                 / float(np.max(np.abs(y - y.mean()))))
-        assert resid == pytest.approx(report.intervals[0].residual_affine_relation,
-                                      rel=1e-6)
-        assert resid > 1e-8
-
-    # The elliot pair is excluded: despite being listed with the good
-    # activations, both satisfy (x+1) h'(x) + h(x) = 1 identically on x > 0
-    # (and the mirrored relation on x < 0), so the probe rightly flags any
-    # one-sided interval.  See test_elliot_family_interval_degeneracy.
-    @pytest.mark.parametrize(
-        "name", [n for n in PAPER_ACTIVATIONS if not n.startswith("elliot")])
-    def test_interval_clean_activations_pass_100_intervals(self, name, rng):
-        a = builtin_activation(name)
-        intervals = []
-        for _ in range(100):
-            lo = rng.uniform(-5.0, 4.9)
-            hi = min(5.0, lo + rng.uniform(0.1, 2.0))
-            intervals.append((lo, hi))
-        assert c1_probe(a, intervals, tol=1e-8).verdict is True
-
-    @pytest.mark.parametrize("name", ["elliot", "elliot_symmetric"])
-    def test_elliot_family_interval_degeneracy(self, name):
-        a = builtin_activation(name)
-        x = np.linspace(0.2, 4.0, 200)
-        relation = (x + 1) * a.deriv(x) + a.eval(x)
-        np.testing.assert_allclose(relation, relation[0], rtol=0, atol=1e-14)
-        mirrored = (-x - 1) * a.deriv(-x) + a.eval(-x)
-        np.testing.assert_allclose(mirrored, mirrored[0], rtol=0, atol=1e-14)
-
-        report = c1_probe(a, [(0.5, 1.5), (-2.0, -1.0)], tol=1e-8)
-        assert all(p.flagged for p in report.intervals)
-        # an interval straddling the kink admits no single (c2, c3)
-        report0 = c1_probe(a, [(-1.0, 1.0)], tol=1e-8)
-        assert not report0.intervals[0].flagged
-
-    @pytest.mark.parametrize("name", ["linear", "relu"])
-    def test_controls_fail_100_intervals(self, name, rng):
-        a = builtin_activation(name)
-        intervals = []
-        for _ in range(100):
-            lo = rng.uniform(-5.0, 4.9)
-            hi = min(5.0, lo + rng.uniform(0.1, 2.0))
-            intervals.append((lo, hi))
-        assert c1_probe(a, intervals, tol=1e-8).verdict is False
-
-    @pytest.mark.parametrize("name", PAPER_ACTIVATIONS)
-    def test_probe_on_derivative(self, name, rng):
-        # heuristic only: probing h' with its own derivative pair
-        a = builtin_activation(name)
-        intervals = [(rng.uniform(-4, 3), 0) for _ in range(10)]
-        intervals = [(lo, lo + 0.7) for lo, _ in intervals]
-        assert c1_probe(a, intervals, tol=1e-8, on_deriv=True).verdict is True
-
-    def test_argument_validation(self):
-        a = builtin_activation("sigmoid")
-        with pytest.raises(ValueError):
-            c1_probe(a, [(0.0, 1.0)], grid_points=4)
-        with pytest.raises(ValueError):
-            c1_probe(a, [(1.0, 1.0)])
+# The elliot pair is listed with the good class, yet both satisfy
+# (x+1) h'(x) + h(x) = 1 identically on x > 0 (and the mirrored relation on
+# x < 0), so the class's interval condition fails for them.
+@pytest.mark.parametrize("name", ["elliot", "elliot_symmetric"])
+def test_elliot_family_interval_degeneracy(name):
+    a = builtin_activation(name)
+    x = np.linspace(0.2, 4.0, 200)
+    relation = (x + 1) * a.deriv(x) + a.eval(x)
+    np.testing.assert_allclose(relation, relation[0], rtol=0, atol=1e-14)
+    mirrored = (-x - 1) * a.deriv(-x) + a.eval(-x)
+    np.testing.assert_allclose(mirrored, mirrored[0], rtol=0, atol=1e-14)

@@ -13,7 +13,7 @@ from conftest import svd_extremes
 
 from twolayer_opt import (PAPER_ACTIVATIONS, FormatError, RunConfig,
                           builtin_activation, certify, cli, dataset,
-                          diagnostics, model)
+                          diagnostics, model, optimizer)
 from twolayer_opt.cli import TRAJECTORY_COLUMNS, main, read_trajectory_csv
 
 
@@ -296,6 +296,16 @@ def test_sigma_overflow(tmp_path, capsys, flags):
                    "in optimizer._resolve_beta\n")
 
 
+def test_sigma_underflow(tmp_path, capsys):
+    # N_i sigma^2 underflows to 0, which caps beta no more than sigma = 0
+    assert run_cli("train", "--d", "3", "--n-samples", "9", "--sigma", "1e-200",
+                   "--out", str(tmp_path / "runs")) == 0
+    assert capsys.readouterr().err == ""
+    tiny = RunConfig(n_outer=1, n_inner=20, sigma=1e-200)
+    assert (optimizer._resolve_beta(tiny, 2.0) == 0.25
+            == optimizer._resolve_beta(RunConfig(n_outer=1, n_inner=20), 2.0))
+
+
 def _run_python(script):
     """stdout of `script` run by a fresh interpreter on this source tree."""
     src = Path(cli.__file__).parents[1]
@@ -441,6 +451,19 @@ class TestVerify:
         assert code == 0
         verdict = json.loads(capsys.readouterr().out)
         assert all("control" in c["check"] for c in verdict["checks"])
+        # h(Wu) u^T = W (u u^T): rank at most d(d+1)/2 = 3 and 6, reached
+        assert [(c["measured"], c["comparison"], c["threshold"])
+                for c in verdict["checks"]] == [(3, "<=", 3), (6, "<=", 6)]
+
+    def test_rank_suite_relu_no_claim(self, tmp_path, capsys):
+        # relu is outside the good class and not linear: its collections
+        # reach full rank on some seeds, so the suite claims nothing
+        assert run_cli("verify", "rank", "--activation", "relu",
+                       "--trials", "10", "--out", str(tmp_path)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "no rank claim for relu" in err
+        assert not (tmp_path / "verify_rank.json").exists()
 
     def test_rank_suite_sigmoid(self, capsys):
         assert run_cli("verify", "rank", "--trials", "10") == 0
@@ -508,6 +531,15 @@ class TestPlotdata:
         with pytest.raises(FormatError) as err:
             read_trajectory_csv(path)
         assert err.value.line == 4
+
+    def test_header_only_trajectory(self, tmp_path, capsys):
+        # every run writes n_outer + 1 >= 1 rows
+        path = tmp_path / "r_rep0.trajectory.csv"
+        path.write_text(",".join(TRAJECTORY_COLUMNS) + "\n")
+        assert run_cli("plotdata", "--run-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "no rows" in err and err.count("\n") == 1
+        assert not (tmp_path / "plotdata").exists()
 
     def test_missing_dir_is_io_error(self, tmp_path):
         assert run_cli("plotdata", "--run-dir", str(tmp_path / "missing")) == 2

@@ -152,7 +152,8 @@ class TestPersistence:
         assert f"{key}={value}" in err and err.count("\n") == 1
 
     def test_empty_table(self, tmp_path, capsys):
-        # FormatError line numbers are 1-based, an empty file's too
+        # FormatError line numbers are 1-based, an empty file's too, and the
+        # message names the file
         path = tmp_path / "data.csv"
         dataset.save(dataset.make_realizable(2, 3, seed=0), path)
         path.write_text("")
@@ -160,7 +161,18 @@ class TestPersistence:
             dataset.load(path)
         assert exc.value.line == 1
         assert main(["train", "--data", str(path), "--out", str(tmp_path / "runs")]) == 2
-        assert capsys.readouterr().err == "error: expected 3 rows, found 0 (line 1)\n"
+        assert (capsys.readouterr().err
+                == f"error: {path}: expected 3 rows, found 0 (line 1)\n")
+
+    def test_table_not_text(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        dataset.save(dataset.make_realizable(2, 3, seed=0), path)
+        path.write_bytes(b"\xff\xfe0.5,0.5,1\n")
+        with pytest.raises(FormatError, match="is not text"):
+            dataset.load(path)
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and err.count("\n") == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):

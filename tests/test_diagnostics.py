@@ -50,19 +50,19 @@ class TestSvdRank:
 
 class TestCollectionRank:
     def test_scalar_case(self):
-        rep = collection_rank(SIG, None, np.array([[1.0]]))
+        rep = collection_rank(SIG, np.eye(1), np.array([[1.0]]))
         assert rep.numerical_rank == 1
 
     def test_linear_symmetric_obstruction(self, rng):
         # vect(u u^T) spans at most the 3-dim symmetric subspace for d = 2
         lin = builtin_activation("linear")
-        rep = collection_rank(lin, None, rng.uniform(-1, 1, size=(4, 2)))
+        rep = collection_rank(lin, np.eye(2), rng.uniform(-1, 1, size=(4, 2)))
         assert rep.numerical_rank <= 3
 
     def test_sigmoid_full_rank(self):
         for s in range(10):
             rng = np.random.default_rng(s)
-            rep = collection_rank(SIG, None, rng.uniform(-1, 1, size=(4, 2)))
+            rep = collection_rank(SIG, np.eye(2), rng.uniform(-1, 1, size=(4, 2)))
             assert rep.is_full_rank()
 
     def test_rotation_invariance(self, rng):

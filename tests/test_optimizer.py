@@ -327,7 +327,7 @@ class TestSolveThetaStar:
     def test_gradient_map_tolerance(self, rng):
         p, ds = random_instance(rng, d=3, n=3, N=9)
         radius = 2.0
-        theta_star = solve_theta_star(p, SIG, ds, radius, tol=1e-12)
+        theta_star = solve_theta_star(p, SIG, ds, radius)
         l_theta = lipschitz_estimates(p, SIG, ds).l_theta_exact
         eta = 1.0 / l_theta
         g = model.grad_theta(NetworkParams(p.W, theta_star), SIG, ds)
