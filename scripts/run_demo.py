@@ -1,5 +1,6 @@
 """End-to-end demo: generate a realizable dataset, train with three seeds,
-diagnose the trained point against a random one, and emit plot files.
+diagnose a random network (seed 1) on the dataset, emit plot files, and run
+the certify suite.
 
 Run:  python scripts/run_demo.py [workdir]
 """

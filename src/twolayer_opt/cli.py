@@ -6,12 +6,14 @@ Subcommands: generate, train, diagnose, verify <suite>, plotdata.  Each
 build_parser); a train flag overrides the run config key it is named after,
 a dataset flag the recipe key in RECIPE_KEYS, and --activation the config's
 activation.  A config key that nothing reads is an error.
-Exit codes: 0 pass, 1 suite failure, 2 usage/config error, 3 numeric failure
-(a NumericsError, an overflow in Python float arithmetic, or an overflow,
-invalid operation or division by zero in numpy).
+Exit codes: 0 pass, 1 suite failure, 2 usage/config error (a count too
+large to allocate included), 3 numeric failure (a NumericsError, an overflow
+in Python float arithmetic, or an overflow, invalid operation or division by
+zero in numpy).
 
 File-writing commands refuse to overwrite existing outputs unless --force is
-given; with identical inputs plus --force every command is idempotent.
+given, before the work; an output directory is made only when its first file
+is written.  With identical inputs plus --force every command is idempotent.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from . import dataset as ds_mod
 from . import diagnostics, files, model, optimizer
 from .activations import ACTIVATION_NAMES, builtin_activation
 from .errors import ConfigError, FormatError, IoError, NumericsError
-from .optimizer import (INIT_KEYS, RUN_KEYS, TRAJECTORY_COLUMNS, RunConfig,
-                        TrajectoryRecord)
+from .optimizer import TRAJECTORY_COLUMNS, RunConfig, TrajectoryRecord
 # cmd_verify calls each suite through these module globals, so wrapping
 # cli.suite_<name> reaches the call
 from .verify import (SUITES, suite_certify, suite_gradcheck,  # noqa: F401
@@ -166,13 +167,10 @@ def _dataset_from_args(args, spec: ExperimentSpec):
 
 def _run_config_from_args(args, spec: ExperimentSpec) -> RunConfig:
     """The spec's run section, with each train flag that was given over its
-    key (a run flag's dest is its key)."""
-    run_cfg = dict(spec.run)
-    init = files.json_field(dict, run_cfg.get("init", {}), "run config key 'init'")
-    for section, keys in ((run_cfg, RUN_KEYS), (init, INIT_KEYS)):
-        section.update((key, getattr(args, key)) for key in keys
-                       if getattr(args, key) is not None)
-    return RunConfig.from_dict({**run_cfg, "init": init})
+    field (a run flag's dest is its RunConfig field)."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name) is not None}
+    return replace(RunConfig.from_dict(spec.run), **given)
 
 
 # ------------------------------------------------------------- subcommands
@@ -438,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", help="dataset CSV path")
     tr.add_argument("--name")
     tr.add_argument("--reps", type=count)
-    # each run flag's dest is the RUN_KEYS or INIT_KEYS key it overrides
-    tr.add_argument("--n-outer", dest="N_o", type=int)
-    tr.add_argument("--n-inner", dest="N_i", type=int)
+    # each run flag's dest is the RunConfig field it overrides
+    tr.add_argument("--n-outer", type=int)
+    tr.add_argument("--n-inner", type=int)
     tr.add_argument("--r-ball", dest="R", type=float,
                     help="ball diameter parameter R")
     tr.add_argument("--sigma", type=float)
@@ -448,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--gamma", type=float)
     tr.add_argument("--theorem2-preset", action="store_true", default=None)
     tr.add_argument("--early-exit", action="store_true", default=None)
-    tr.add_argument("--w-scale", dest="W_scale", type=float)
-    tr.add_argument("--theta-scale", type=float)
+    tr.add_argument("--w-scale", dest="init_w_scale", type=float)
+    tr.add_argument("--theta-scale", dest="init_theta_scale", type=float)
 
     di = command("diagnose", cmd_diagnose, "rank/Lipschitz/certificate report",
                  SPEC_FLAGS + ("--seed", "--rank-tol") + OUT_FLAGS)
@@ -479,7 +477,7 @@ def main(argv=None) -> int:
         # numeric failure, not a warning printed ahead of one
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (ConfigError, IoError, FormatError, ValueError) as exc:
+    except (IoError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

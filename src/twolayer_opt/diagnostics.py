@@ -163,8 +163,7 @@ def _w_smoothness(a: ActivationFunction, ds: "Dataset", theta_max: float,
         raise ConfigError(
             f"activation {a.name!r} has no finite smoothness constants; "
             "the W-gradient Lipschitz bound is undefined for it")
-    U = np.asarray(ds.inputs, dtype=float)
-    v = np.asarray(ds.labels, dtype=float)
+    U, v = ds.inputs, ds.labels
     N, d = U.shape
     u_sq = np.sum(U * U, axis=1)
     sum_u2_absv = float(u_sq @ np.abs(v))

@@ -8,8 +8,8 @@
 * JSON documents (sidecars, manifests, reports, verdicts): indent 2 and a
   trailing newline.
 * Sidecars: <name>.meta.json next to the table <name>.csv it describes.
-* Output directories: created on demand; a file already there is not
-  overwritten unless the caller passes force.
+* Output directories: made when the first file is written into them; a
+  file already there is not overwritten unless the caller passes force.
 
 A file that cannot be read or written raises IoError; a file that is not
 text, or a malformed table line, JSON document or sidecar value, raises
@@ -35,8 +35,10 @@ def _read(path) -> str:
 
 
 def _write(path, text: str) -> None:
+    path = Path(path)
     try:
-        Path(path).write_text(text)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -143,14 +145,10 @@ def read_sidecar(path, keys: dict) -> dict:
 
 
 def output_paths(out_dir, names, force: bool) -> list:
-    """out_dir / name for each name, after creating out_dir.  A name that
-    already exists there raises ConfigError unless force is set."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-    paths = [out_dir / name for name in names]
+    """out_dir / name for each name, creating nothing: _write makes out_dir
+    with its first file.  A name that already exists there raises
+    ConfigError unless force is set."""
+    paths = [Path(out_dir) / name for name in names]
     clashes = [str(p) for p in paths if p.exists()]
     if clashes and not force:
         raise ConfigError(

@@ -104,10 +104,15 @@ def khatri_rao(A: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ik->jki", A, U).reshape(n * d, N)
 
 
+def _residual_pass(p: NetworkParams, a: ActivationFunction, ds: "Dataset"):
+    """_features' U and Z, and the residuals s_i = v_i - theta^T h(W u_i)."""
+    U, Z, H = _features(a, p.W, ds.inputs)
+    return U, Z, ds.labels - H @ p.theta
+
+
 def residuals(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """s_i = v_i - theta^T h(W u_i)."""
-    _, _, H = _features(a, p.W, ds.inputs)
-    return np.asarray(ds.labels, dtype=float) - H @ p.theta
+    return _residual_pass(p, a, ds)[2]
 
 
 def objective(s: np.ndarray) -> float:
@@ -127,13 +132,12 @@ def theta_gradient(H: np.ndarray, v: np.ndarray, theta: np.ndarray) -> np.ndarra
 def grad_theta(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """Exact gradient of f in theta: -(1/N) sum_i s_i h(W u_i)."""
     _, _, H = _features(a, p.W, ds.inputs)
-    return theta_gradient(H, np.asarray(ds.labels, dtype=float), p.theta)
+    return theta_gradient(H, ds.labels, p.theta)
 
 
 def grad_W(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """Exact gradient of f in W, entry (j,k) = -(1/N) sum_i s_i h'(z_ij) theta_j u_ik."""
-    U, Z, H = _features(a, p.W, ds.inputs)
-    s = np.asarray(ds.labels, dtype=float) - H @ p.theta
+    U, Z, s = _residual_pass(p, a, ds)
     A = np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :] * s[:, None]
     return -(A.T @ U) / len(s)
 
@@ -141,24 +145,25 @@ def grad_W(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray
 def stationarity_system(p: NetworkParams, a: ActivationFunction,
                         ds: "Dataset") -> StationaritySystem:
     """Assemble D and s so that vect(grad_W f) = -(1/N) D s."""
-    U, Z, H = _features(a, p.W, ds.inputs)
-    s = np.asarray(ds.labels, dtype=float) - H @ p.theta
+    U, Z, s = _residual_pass(p, a, ds)
     scaled = np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :]  # (N, n)
     return StationaritySystem(D=khatri_rao(scaled, U), s=s)
 
 
-def fd_gradients(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
-                 step: float = 1e-5):
-    """Central finite differences (f(x+h) - f(x-h)) / 2h of the loss in
-    every entry of W and theta: the independent check of the analytic
-    gradients.  Returns (fd_W, fd_theta)."""
+FD_STEP = 1e-5   # fd_gradients' step h
+
+
+def fd_gradients(p: NetworkParams, a: ActivationFunction, ds: "Dataset"):
+    """Central finite differences (f(x+h) - f(x-h)) / 2h, h = FD_STEP, of the
+    loss in every entry of W and theta: the independent check of the
+    analytic gradients.  Returns (fd_W, fd_theta)."""
     def fd_array(base, rebuild):
         g = np.zeros_like(base)
         for idx in np.ndindex(base.shape):
             hi, lo = base.copy(), base.copy()
-            hi[idx] += step
-            lo[idx] -= step
-            g[idx] = (loss(rebuild(hi), a, ds) - loss(rebuild(lo), a, ds)) / (2.0 * step)
+            hi[idx] += FD_STEP
+            lo[idx] -= FD_STEP
+            g[idx] = (loss(rebuild(hi), a, ds) - loss(rebuild(lo), a, ds)) / (2.0 * FD_STEP)
         return g
 
     return (fd_array(p.W, lambda W: NetworkParams(W, p.theta)),

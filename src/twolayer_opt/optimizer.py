@@ -142,7 +142,6 @@ class RunConfig:
 @dataclass
 class InnerSummary:
     steps: int
-    final_f: float
     beta: float
     l_theta: float
     early_exit: bool = False
@@ -161,7 +160,6 @@ class TrajectoryRecord:
     sigma_min_d: np.ndarray = field(metadata={"column": "sigma_min_D"})
     resid_norm: np.ndarray = field(metadata={"column": "resid_norm"})
     inner_steps: np.ndarray = field(metadata={"column": "inner_steps"})
-    inner_final_f: np.ndarray = field(metadata={"column": "inner_final_f"})
     derived: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -240,7 +238,7 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     radius = cfg.R / 2.0
 
     _, _, H = _features(a, p.W, ds.inputs)   # fixed during the phase
-    v = np.asarray(ds.labels, dtype=float)
+    v = ds.labels
 
     def f_of(theta):
         return objective(v - H @ theta)
@@ -281,8 +279,7 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     if steps < n_inner:   # leave rng where step-by-step draws would
         rng.bit_generator.state = state
         phase_noise(rng, sigma, steps, n)
-    return theta_avg, InnerSummary(steps=steps, final_f=f_of(theta_avg),
-                                   beta=beta, l_theta=l_theta,
+    return theta_avg, InnerSummary(steps=steps, beta=beta, l_theta=l_theta,
                                    early_exit=exited)
 
 
@@ -314,7 +311,7 @@ def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     is typically immediate.
     """
     _, _, H = _features(a, p.W, ds.inputs)
-    v = np.asarray(ds.labels, dtype=float)
+    v = ds.labels
     l_theta = theta_smoothness(H)
     if l_theta == 0.0:
         return np.zeros(p.n)
@@ -366,8 +363,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
         row = dict(k=k, f=cert.loss_value, grad_norm=cert.grad_norm,
                    sigma_min_w=svd_rank(p.W).sigma_min,
                    sigma_min_d=cert.sigma_min_D, resid_norm=cert.residual_norm,
-                   inner_steps=summary.steps if summary else 0,
-                   inner_final_f=summary.final_f if summary else cert.loss_value)
+                   inner_steps=summary.steps if summary else 0)
         rows.append(row)
         if not all(math.isfinite(row[name]) for name in
                    ("f", "grad_norm", "sigma_min_w", "sigma_min_d", "resid_norm")):
@@ -385,10 +381,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
     trajectory = TrajectoryRecord(
         **{name: np.array([row[name] for row in rows])
            for name in TRAJECTORY_FIELDS.values()},
-        derived={
-            "n_outer": n_outer, "n_inner": cfg.n_inner, "sigma": cfg.sigma,
-            "gamma": gamma, "L_ball": L_ball, "R": cfg.R,
-            "f_init": f_init, "seed": cfg.seed, "spectrum": spectrum,
-        },
+        derived={"n_inner": cfg.n_inner, "sigma": cfg.sigma, "gamma": gamma,
+                 "L_ball": L_ball, "f_init": f_init, "spectrum": spectrum},
     )
     return params, trajectory

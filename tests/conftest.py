@@ -59,7 +59,7 @@ def reference_inner_sgd(p, a, ds, cfg, rng):
             break
     theta_avg = sum_wtheta / sum_w
     return theta_avg, optimizer.InnerSummary(
-        steps=steps, final_f=f_of(theta_avg), beta=beta, l_theta=l_theta,
+        steps=steps, beta=beta, l_theta=l_theta,
         early_exit=exited), largest
 
 

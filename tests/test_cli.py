@@ -257,6 +257,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert key in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("run, flag, key", [
+        ({"sigma": "0.1"}, ["--sigma", "0.2"], "'sigma'"),
+        ({"init": {"W_scale": -1.0}}, ["--w-scale", "1"], "W_scale"),
+    ], ids=["run.sigma_string", "run.init.W_scale_negative"])
+    def test_config_wrong_json_type_under_flag(self, tmp_path, capsys, run, flag,
+                                               key):
+        # the config's run section is read whole, so a bad value is reported
+        # even where a flag overrides it
+        spec = {"dataset": {"d": 3, "N": 9}, "run": {"N_o": 2, "N_i": 2, **run}}
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text(json.dumps(spec))
+        assert run_cli("train", "--config", str(cfg_path), *flag,
+                       "--out", str(tmp_path / "runs")) == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
 
 @pytest.mark.parametrize("flag, value, setting", [
     ("--w-scale", "-1", "W_scale"), ("--theta-scale", "-1", "theta_scale"),
@@ -685,6 +702,46 @@ def test_out_naming_a_file(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert str(blocker) in err and err.count("\n") == 1
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "rank", "--activation", "relu", "--trials", "10"], 2),
+    (["train", "--d", "3", "--n-samples", "9", "--activation", "softplus",
+      "--w-scale", "1e160"], 3),
+], ids=["verify_rank_relu", "train_numeric_failure"])
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys, argv, code):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_not_creatable_reported_after_the_work(tmp_path, capsys):
+    # the output directory is made with its first file, so one that cannot
+    # be made is found once the suite has run
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    assert run_cli("verify", "gradcheck", "--instances", "1",
+                   "--out", str(blocker / "sub")) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["pass"]
+    assert str(blocker) in err and err.count("\n") == 1
+    assert blocker.read_text() == "keep"
+
+
+def test_count_too_large_to_allocate(tmp_path, monkeypatch, capsys):
+    # stands in for generate --d 10000000000, whose inputs numpy cannot
+    # allocate; nothing of that size is requested here
+    def refuse(d, N, dist, seed):
+        raise MemoryError("Unable to allocate 671. GiB for an array with "
+                          "shape (9, 10000000000) and data type float64")
+    monkeypatch.setattr(dataset, "generate_inputs", refuse)
+    assert run_cli("generate", "--d", "3", "--n-samples", "9",
+                   "--out", str(tmp_path / "data")) == 2
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 671. GiB for an array with shape "
+        "(9, 10000000000) and data type float64\n")
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("argv", [["verify", "gradcheck", "--instances", "1"],

@@ -33,3 +33,13 @@ class TestTable:
             back = files.read_table(path, lambda i: widths[i], rows=len(rows),
                                     header=header)
         assert [bits(r) for r in back] == [bits(r) for r in rows]
+
+
+def test_output_directory_made_by_the_first_write(tmp_path):
+    # output_paths only names and checks the outputs; the directory appears
+    # when a file is written into it
+    out = tmp_path / "a" / "b"
+    (path,) = files.output_paths(out, ["x.json"], force=False)
+    assert path == out / "x.json" and not (tmp_path / "a").exists()
+    files.write_json(path, {"x": 1})
+    assert files.read_json(path) == {"x": 1}

@@ -64,7 +64,7 @@ def running_sum_inner_sgd(p, a, ds, cfg, rng):
         rng.bit_generator.state = state
         phase_noise(rng, sigma, steps, n)
     return theta_avg, InnerSummary(
-        steps=steps, final_f=f_of(theta_avg), beta=beta, l_theta=l_theta,
+        steps=steps, beta=beta, l_theta=l_theta,
         early_exit=exited), projected
 
 
