@@ -11,9 +11,11 @@ large to allocate included), 3 numeric failure (a NumericsError, an overflow
 in Python float arithmetic, or an overflow, invalid operation or division by
 zero in numpy).
 
-File-writing commands refuse to overwrite existing outputs unless --force is
-given, before the work; an output directory is made only when its first file
-is written.  With identical inputs plus --force every command is idempotent.
+File-writing commands refuse, before the work, to overwrite existing outputs
+unless --force is given, an --out under a file that is not a directory, and a
+--name (or config name) that is not one file name; an output directory is
+made only when its first file is written.  With identical inputs plus --force
+every command is idempotent.
 """
 
 from __future__ import annotations
@@ -94,6 +96,10 @@ class ExperimentSpec:
         spec = cls(**{key: files.json_field(type(getattr(default, key)), value,
                                             f"config key {key!r}")
                       for key, value in data.items()})
+        try:
+            file_name(spec.name)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"config key 'name' {exc}") from None
         if spec.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {spec.repetitions}")
         if spec.activation not in ACTIVATION_NAMES:
@@ -363,6 +369,17 @@ def seed(text: str) -> int:
     return value
 
 
+def file_name(text: str) -> str:
+    """argparse type of --name, and the check of the config's name: one
+    non-empty path component other than . and .., so that every output
+    named after it lands inside --out."""
+    if text in ("", ".", "..") or "\0" in text or Path(text).name != text:
+        raise argparse.ArgumentTypeError(
+            f"must be one file name (not empty, '.' or '..', and no '/'), "
+            f"got {text!r}")
+    return text
+
+
 def noise_std(text: str) -> float:
     """argparse type of --noise-std: a finite float >= 0."""
     value = float(text)
@@ -427,14 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = command("generate", cmd_generate, "generate a teacher-labeled dataset",
                   SPEC_FLAGS + DATASET_FLAGS + OUT_FLAGS)
-    gen.add_argument("--name", default="data")
+    gen.add_argument("--name", type=file_name, default="data")
     gen.add_argument("--warn-overparam", action="store_true")
     gen.set_defaults(out=".")
 
     tr = command("train", cmd_train, "run SGD-GD repetitions",
                  SPEC_FLAGS + ("--seed",) + DATASET_FLAGS + OUT_FLAGS)
     tr.add_argument("--data", help="dataset CSV path")
-    tr.add_argument("--name")
+    tr.add_argument("--name", type=file_name)
     tr.add_argument("--reps", type=count)
     # each run flag's dest is the RunConfig field it overrides
     tr.add_argument("--n-outer", type=int)
@@ -453,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                  SPEC_FLAGS + ("--seed", "--rank-tol") + OUT_FLAGS)
     di.add_argument("--data", required=True)
     di.add_argument("--params", help="NetworkParams CSV (see model.save_params)")
-    di.add_argument("--name")
+    di.add_argument("--name", type=file_name)
 
     ve = sub.add_parser("verify", help="run a bound-verification suite")
     suites = ve.add_subparsers(dest="suite", required=True)

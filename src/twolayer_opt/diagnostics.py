@@ -12,9 +12,11 @@ sigma_min <= rank_tol * sigma_max, so column_sigma_extremes computes only
 what that test needs: a wide D (n*d < N, where the certificate cannot
 exist) has sigma_min(D) = 0 by shape; a square D with at least
 INVERSE_MIN_COLUMNS columns is factored once by QR and gets sigma_min by
-block inverse iteration on the triangular factor, by substitution,
-accepted only when it has converged and D is of full rank for certain;
-every other D takes the SVD.  The certificate's `spectrum` names the route.
+block inverse iteration on the triangular factor, by substitution, with
+the block made orthonormal by shifted CholeskyQR3 (Fukaya et al., SIAM J.
+Sci. Comput. 42, 2020), accepted only when it has converged and D is of
+full rank for certain; every other D takes the SVD.  The certificate's
+`spectrum` names the route.
 certificate is the one place this arithmetic is done: certify applies it at
 a point, and optimizer.run at every iterate, from the stationarity system
 and gradient it already holds.  "Full rank" statements about random feature
@@ -24,6 +26,7 @@ finite certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
@@ -238,18 +241,52 @@ def _triangular_solve(R: np.ndarray, inverses: list, X: np.ndarray, *,
     return Y
 
 
+@functools.lru_cache(maxsize=1)
+def _start_block(n: int) -> np.ndarray:
+    """The inverse route's (n, INVERSE_BLOCK) start block from seed
+    INVERSE_SEED, read-only, drawn again only when the column count
+    changes."""
+    block = np.random.default_rng(INVERSE_SEED).standard_normal((n, INVERSE_BLOCK))
+    block.flags.writeable = False
+    return block
+
+
+def _cholesky_qr(X: np.ndarray):
+    """(Q, R, scale) with X = scale Q R, Q orthonormal to O(eps) and R upper
+    triangular, by shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa,
+    Yamamoto and Yanagisawa, SIAM J. Sci. Comput. 42, 2020): X is divided
+    by its largest entry, scale, so that its Gram cannot overflow; then
+    three passes of G = Q^T Q = L L^T, Q <- Q L^{-T}, R <- L^T R, the first
+    with G shifted by 11 (m n + n (n + 1)) eps ||Q||_F^2 and the last two
+    a CholeskyQR2 (Yamamoto et al., ETNA 44, 2015).  Past a condition
+    number of about 1e13 (at 625 x 32) a Cholesky factor does not exist,
+    and np.linalg.LinAlgError is raised."""
+    m, n = X.shape
+    scale = float(np.abs(X).max())
+    Q, R = X / scale, np.eye(n)
+    for shifted in (True, False, False):
+        G = Q.T @ Q
+        if shifted:
+            G[np.diag_indices(n)] += (11.0 * (m * n + n * (n + 1))
+                                      * np.finfo(float).eps * np.trace(G))
+        L = np.linalg.cholesky(G)
+        Q, R = Q @ np.linalg.inv(L).T, L.T @ R
+    return Q, R, scale
+
+
 def _inverse_sigma_min(M: np.ndarray, rank_tol: float):
     """sigma_min of a square M by block inverse iteration, or None when the
     SVD has to decide.
 
     M is factored once, M = Q_M R by np.linalg.qr; the triangular R has
-    M's singular values, and R^T R = M^T M.  A fixed-seed INVERSE_BLOCK-
-    column block goes through solves alternately with R^T and R
-    (_triangular_solve), each followed by a QR, X = Q R_X.  Once the block
-    entering a solve is orthonormal, 1 / ||R_X||_2 is a Ritz value of M:
-    an upper bound on sigma_min that falls with every solve.  After each
-    count of solves in INVERSE_SOLVES the block gets a Rayleigh-Ritz step,
-    sigma_min(M Q).  With ||M||_F >= sigma_max and
+    M's singular values, and R^T R = M^T M.  The fixed-seed _start_block
+    goes through solves alternately with R^T and R (_triangular_solve),
+    each followed by shifted CholeskyQR3 (_cholesky_qr; Fukaya et al.,
+    SIAM J. Sci. Comput. 42, 2020), X = scale Q R_X.
+    Once the block entering a solve is orthonormal, 1 / (scale ||R_X||_2)
+    is a Ritz value of M: an upper bound on sigma_min that falls with every
+    solve.  After each count of solves in INVERSE_SOLVES the block gets a
+    Rayleigh-Ritz step, sigma_min(M Q).  With ||M||_F >= sigma_max and
     tol = sqrt(n) eps ||M||_F <= n eps sigma_max, the value is accepted
     only when
       * the Ritz values contract: the error left after the last solve,
@@ -257,8 +294,8 @@ def _inverse_sigma_min(M: np.ndarray, rank_tol: float):
         (when it is not, the next count of solves is tried);
       * it lies above the guard band: sigma_min - tol > rank_tol ||M||_F,
         so that sigma_min > rank_tol * sigma_max for certain.
-    An exactly singular diagonal block of R or a non-finite solve returns
-    None as well."""
+    An exactly singular diagonal block of R, a non-finite solve or a block
+    whose Cholesky factor does not exist returns None as well."""
     n = M.shape[1]
     frob = float(np.linalg.norm(M))   # no overflow: entries lie in (1e-100, 1e100)
     tol = math.sqrt(n) * np.finfo(float).eps * frob
@@ -267,14 +304,18 @@ def _inverse_sigma_min(M: np.ndarray, rank_tol: float):
         inverses = _diagonal_block_inverses(R)
     except np.linalg.LinAlgError:   # an exactly zero diagonal entry of R
         return None
-    Q = np.random.default_rng(INVERSE_SEED).standard_normal((n, INVERSE_BLOCK))
+    Q = _start_block(n)
     ritz = []
     for i in range(INVERSE_SOLVES[-1]):
         X = _triangular_solve(R, inverses, Q, transpose=i % 2 == 0)
         if not np.isfinite(X).all():
             return None
-        Q, R_X = np.linalg.qr(X)
-        ritz.append(1.0 / float(np.linalg.norm(R_X, 2)))
+        try:
+            Q, R_X, scale = _cholesky_qr(X)
+        except np.linalg.LinAlgError:
+            return None
+        # in Python floats a product past the largest float is inf, not an error
+        ritz.append(1.0 / (scale * float(np.linalg.norm(R_X, 2))))
         if i + 1 in INVERSE_SOLVES:
             sigma_min = float(np.linalg.svd(M @ Q, compute_uv=False)[-1])
             step, last = ritz[-3] - ritz[-2], ritz[-2] - sigma_min

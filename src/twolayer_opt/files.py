@@ -8,7 +8,8 @@
 * JSON documents (sidecars, manifests, reports, verdicts): indent 2 and a
   trailing newline.
 * Sidecars: <name>.meta.json next to the table <name>.csv it describes.
-* Output directories: made when the first file is written into them; a
+* Output directories: made when the first file is written into them, and
+  refused before that when an existing ancestor is not a directory; a
   file already there is not overwritten unless the caller passes force.
 
 A file that cannot be read or written raises IoError; a file that is not
@@ -146,9 +147,14 @@ def read_sidecar(path, keys: dict) -> dict:
 
 def output_paths(out_dir, names, force: bool) -> list:
     """out_dir / name for each name, creating nothing: _write makes out_dir
-    with its first file.  A name that already exists there raises
-    ConfigError unless force is set."""
-    paths = [Path(out_dir) / name for name in names]
+    with its first file.  An out_dir whose nearest existing ancestor (or
+    itself) is not a directory raises IoError, and a name that already
+    exists there ConfigError unless force is set."""
+    out_dir = Path(out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise IoError(f"cannot write into {out_dir}: {existing} is not a directory")
+    paths = [out_dir / name for name in names]
     clashes = [str(p) for p in paths if p.exists()]
     if clashes and not force:
         raise ConfigError(

@@ -651,6 +651,13 @@ def test_readme_trajectory_header():
     ["verify", "certify", "--seed", "-1"],
     ["generate", "--d", "3", "--n-samples", "9", "--noise-std", "-1"],
     ["generate", "--d", "3", "--n-samples", "9", "--noise-std", "nan"],
+    # a name that is not one file name inside --out
+    ["train", "--d", "3", "--n-samples", "9", "--n-outer", "2", "--out", "r5",
+     "--name", "../x"],
+    ["generate", "--d", "3", "--n-samples", "9", "--name", ""],
+    ["generate", "--d", "3", "--n-samples", "9", "--name", "."],
+    ["generate", "--d", "3", "--n-samples", "9", "--out", "o", "--name", "a/b"],
+    ["diagnose", "--data", "PATH_DATA", "--out", "o", "--name", ".."],
 ], ids=["lipschitz_trials_0", "gradcheck_instances_0", "rank_trials_0",
         "theorem1_seeds_0", "theorem2_seeds_0", "train_reps_0",
         "plotdata_seed", "plotdata_activation", "plotdata_config",
@@ -662,7 +669,9 @@ def test_readme_trajectory_header():
         "lipschitz_rank_tol", "rank_seeds", "theorem1_instances",
         "train_seed_negative", "generate_data_seed_negative",
         "generate_teacher_seed_negative", "certify_seed_negative",
-        "generate_noise_std_negative", "generate_noise_std_nan"])
+        "generate_noise_std_negative", "generate_noise_std_nan",
+        "train_name_parent", "generate_name_empty", "generate_name_dot",
+        "generate_name_subdirectory", "diagnose_name_dotdot"])
 def test_parser_rejects(tmp_path, tmp_path_factory, monkeypatch, capsys, argv):
     inputs = tmp_path_factory.mktemp("inputs")
     paths = {"PATH_CONFIG": inputs / "path.json",   # names itself
@@ -716,17 +725,33 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys, argv, code)
     assert not out.exists()
 
 
-def test_out_not_creatable_reported_after_the_work(tmp_path, capsys):
-    # the output directory is made with its first file, so one that cannot
-    # be made is found once the suite has run
+@pytest.mark.parametrize("argv", [
+    ["train", "--d", "3", "--n-samples", "9", "--n-outer", "300", "--reps", "2"],
+    ["verify", "gradcheck", "--instances", "1"],
+], ids=["train", "verify"])
+def test_out_under_a_file_refused_before_the_work(tmp_path, monkeypatch, capsys,
+                                                  argv):
+    runs = []
+    monkeypatch.setattr(optimizer, "run", lambda *args: runs.append(args))
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")
-    assert run_cli("verify", "gradcheck", "--instances", "1",
-                   "--out", str(blocker / "sub")) == 2
+    assert run_cli(*argv, "--out", str(blocker / "sub")) == 2
     out, err = capsys.readouterr()
-    assert json.loads(out)["pass"]
+    assert out == "" and runs == []
     assert str(blocker) in err and err.count("\n") == 1
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("name", ["../x", "", ".", "..", "a/b", "a\0b"])
+def test_config_name_not_one_file_name(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps(
+        {"name": name, "dataset": {"d": 3, "N": 9}, "run": {"N_o": 2, "N_i": 2},
+         "out_dir": "r5"}))
+    assert run_cli("train", "--config", "spec.json") == 2
+    err = capsys.readouterr().err
+    assert "config key 'name'" in err and err.count("\n") == 1
+    assert sorted(os.listdir()) == ["spec.json"]
 
 
 def test_count_too_large_to_allocate(tmp_path, monkeypatch, capsys):

@@ -309,6 +309,63 @@ class TestTriangularSolve:
         assert cert.verdict == "rank_deficient"
 
 
+def block_of_condition(rng, cond, shape=(625, diagnostics.INVERSE_BLOCK)):
+    """A block with singular values 1 ... 1/cond spread evenly in log
+    scale, and random left and right singular vectors."""
+    m, n = shape
+    U = np.linalg.qr(rng.normal(size=(m, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return (U * np.logspace(0.0, -np.log10(cond), n)) @ V.T
+
+
+class TestCholeskyQr:
+    @staticmethod
+    def check_factorisation(X, Q, R, scale):
+        """X = scale Q R, Q orthonormal and R upper triangular, to O(eps)."""
+        eps, n = np.finfo(float).eps, X.shape[1]
+        assert np.abs(Q.T @ Q - np.eye(n)).max() <= 20 * eps
+        assert np.linalg.norm(scale * (Q @ R) - X) <= 20 * eps * np.linalg.norm(X)
+        assert np.array_equal(np.triu(R), R)
+        assert abs(scale * np.linalg.norm(R, 2) - np.linalg.norm(X, 2)) <= \
+            20 * eps * np.linalg.norm(X, 2)
+
+    # the unshifted Cholesky of the Gram fails (or leaves Q far from
+    # orthonormal) once the condition number passes about 1e8
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e10, 1e12])
+    def test_orthonormal_and_exact(self, rng, cond):
+        X = block_of_condition(rng, cond)
+        self.check_factorisation(X, *diagnostics._cholesky_qr(X))
+
+    # the Gram of an unscaled block overflows or underflows
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_extreme_magnitudes(self, rng, magnitude):
+        X = block_of_condition(rng, 1e4)
+        with np.errstate(all="raise"):
+            Q, R, scale = diagnostics._cholesky_qr(magnitude * X)
+        self.check_factorisation(X, Q, R, scale / magnitude)
+
+    def test_start_block_drawn_once(self, rng):
+        n = diagnostics.INVERSE_MIN_COLUMNS
+        block = diagnostics._start_block(n)
+        assert not block.flags.writeable
+        assert diagnostics._start_block(n) is block
+        want = np.random.default_rng(diagnostics.INVERSE_SEED).standard_normal(
+            (n, diagnostics.INVERSE_BLOCK))
+        assert np.array_equal(block, want)
+        D = square_khatri_rao(rng, 16, 32)
+        first = diagnostics.column_sigma_extremes(D)
+        assert first[1] is None   # the inverse route decided
+        assert diagnostics.column_sigma_extremes(D) == first
+
+    def test_cholesky_failure_takes_svd(self, rng, monkeypatch):
+        def refuse(X):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        monkeypatch.setattr(diagnostics, "_cholesky_qr", refuse)
+        D = square_khatri_rao(rng, 23, 23)
+        cert = TestColumnSigmaExtremes.check_svd_fallback(D)
+        assert cert.verdict == "certified_near_global"
+
+
 class TestCertify:
     def test_exact_fit(self, rng):
         p, ds = random_instance(rng, d=3, n=3, N=6)
