@@ -111,10 +111,9 @@ class ExperimentSpec:
         if "path" in spec.dataset and recipe:
             raise ConfigError(f"config 'dataset' holds both 'path' and recipe "
                               f"keys {recipe}; give a file or a recipe")
-        path = files.json_field(str, spec.dataset.get("path", ""),
-                                "config key 'dataset.path'")
-        if path and not Path(path).exists():
-            raise ConfigError(f"referenced dataset {path} does not exist")
+        # only train reads the file, and dataset.load names it if missing
+        files.json_field(str, spec.dataset.get("path", ""),
+                         "config key 'dataset.path'")
         return spec
 
 

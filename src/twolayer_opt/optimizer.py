@@ -9,7 +9,10 @@ model.random_params with theta projected into the ball; project_ball is the
 one projection onto the ball, and prox_ball the prox step built on it.
 Each iterate's trajectory row is its diagnostics.certificate, built from the
 stationarity system and the gradient that the W step uses, plus
-svd_rank(W).sigma_min; TrajectoryRecord declares each column once.
+svd_rank(W).sigma_min; TrajectoryRecord declares each column once.  A
+caller that reads only the returned iterate's certificate (the verify
+suites) passes certify_rows=False, and each row but the final one then
+holds the W step's grad_norm and NaN in the other certificate columns.
 
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
@@ -150,7 +153,9 @@ class InnerSummary:
 @dataclass
 class TrajectoryRecord:
     """Per-outer-iteration telemetry; row k < n_outer holds the quantities
-    at (W_k, theta_{k+1}), the final row holds the returned iterate."""
+    at (W_k, theta_{k+1}), the final row holds the returned iterate.  A row
+    that run left uncertified (certify_rows=False) holds NaN in f,
+    sigma_min_w, sigma_min_d and resid_norm."""
 
     # each field's metadata "column" is its trajectory CSV column
     k: np.ndarray = field(metadata={"column": "k"})
@@ -174,6 +179,9 @@ class TrajectoryRecord:
 TRAJECTORY_FIELDS = {f.metadata["column"]: f.name
                      for f in fields(TrajectoryRecord) if "column" in f.metadata}
 TRAJECTORY_COLUMNS = tuple(TRAJECTORY_FIELDS)
+# the fields a certified row takes from its certificate and svd_rank(W)
+CERTIFICATE_FIELDS = ("f", "grad_norm", "sigma_min_w", "sigma_min_d",
+                      "resid_norm")
 
 
 def project_ball(z: np.ndarray, radius: float) -> np.ndarray:
@@ -328,13 +336,19 @@ def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
         f"{THETA_STAR_TOL} in {THETA_STAR_MAX_ITER} iterations")
 
 
-def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
+def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
+        certify_rows: bool = True):
     """Full SGD-GD run; returns (NetworkParams, TrajectoryRecord).
 
     Requires square W (n = d) so the trajectory rank diagnostics are
     well-defined.  The record has n_outer + 1 rows: one per outer iteration
     evaluated at (W_k, theta_{k+1}), plus a final row for the returned
-    iterate.
+    iterate.  The final row is always certified.  With certify_rows False
+    a row k < n_outer computes only grad_W, which the W step needs: it
+    holds k, grad_norm and inner_steps, and NaN in the other
+    CERTIFICATE_FIELDS, and derived["spectrum"] counts the certified rows
+    alone.  The iterates,
+    grad_norm and inner_steps are the same bits either way.
     """
     rng = np.random.default_rng(cfg.seed)
 
@@ -355,28 +369,31 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig):
     rows = []   # one {TrajectoryRecord field: value} per row
     spectrum = {}   # rows per column_sigma_extremes route
 
-    def record(k, p, summary):
-        sys = stationarity_system(p, a, ds)
+    def record(k, p, summary, certified):
         g = grad_W(p, a, ds)
-        cert = certificate(sys, g)
-        spectrum[cert.spectrum] = spectrum.get(cert.spectrum, 0) + 1
-        row = dict(k=k, f=cert.loss_value, grad_norm=cert.grad_norm,
-                   sigma_min_w=svd_rank(p.W).sigma_min,
-                   sigma_min_d=cert.sigma_min_D, resid_norm=cert.residual_norm,
-                   inner_steps=summary.steps if summary else 0)
-        rows.append(row)
+        if certified:
+            cert = certificate(stationarity_system(p, a, ds), g)
+            spectrum[cert.spectrum] = spectrum.get(cert.spectrum, 0) + 1
+            row = dict(f=cert.loss_value, grad_norm=cert.grad_norm,
+                       sigma_min_w=svd_rank(p.W).sigma_min,
+                       sigma_min_d=cert.sigma_min_D,
+                       resid_norm=cert.residual_norm)
+        else:   # grad_norm as certificate computes it, NaN for the rest
+            row = dict.fromkeys(CERTIFICATE_FIELDS, math.nan)
+            row["grad_norm"] = float(np.linalg.norm(g))
         if not all(math.isfinite(row[name]) for name in
-                   ("f", "grad_norm", "sigma_min_w", "sigma_min_d", "resid_norm")):
+                   (CERTIFICATE_FIELDS if certified else ("grad_norm",))):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
+        rows.append(dict(row, k=k, inner_steps=summary.steps if summary else 0))
         return g
 
     for k in range(n_outer):
         theta, summary = inner_sgd(params, a, ds, cfg, rng)
         params = replace(params, theta=theta)
-        g = record(k, params, summary)
+        g = record(k, params, summary, certify_rows)
         params = outer_step(params, g, gamma, L_ball)
 
-    record(n_outer, params, None)
+    record(n_outer, params, None, True)
 
     trajectory = TrajectoryRecord(
         **{name: np.array([row[name] for row in rows])

@@ -505,6 +505,36 @@ class TestVerify:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["checks"][-1]["measured"] == "rank_deficient"
 
+    @pytest.mark.parametrize("argv, systems", [
+        (["theorem2", "--seeds", "3"], 3), (["certify"], 1)],
+        ids=["theorem2", "certify"])
+    def test_suites_certify_only_the_returned_iterate(self, monkeypatch, capsys,
+                                                      argv, systems):
+        program_run, program_system = optimizer.run, optimizer.stationarity_system
+        calls = []
+        monkeypatch.setattr(optimizer, "stationarity_system",
+                            lambda *args: calls.append(1) or program_system(*args))
+        assert run_cli("verify", *argv) == 0
+        assert len(calls) == systems
+        verdict = capsys.readouterr().out
+        monkeypatch.setattr(optimizer, "run", lambda a, ds, cfg, certify_rows:
+                            program_run(a, ds, cfg, certify_rows=True))
+        assert run_cli("verify", *argv) == 0
+        assert capsys.readouterr().out == verdict
+
+    def test_config_dataset_path_read_only_by_train(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"dataset": {"path": str(missing)}}))
+        assert run_cli("verify", "gradcheck", "--config", str(config),
+                       "--instances", "1") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("train", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing.with_suffix("")) in err
+        assert not out.exists()
+
     def test_unknown_suite_usage_error(self, capsys):
         assert run_cli("verify", "nonsense") == 2
 

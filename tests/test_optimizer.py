@@ -10,11 +10,11 @@ from conftest import (fitted_labels, random_instance, reference_inner_sgd,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolayer_opt import (ConfigError, NetworkParams, RunConfig,
-                          builtin_activation, certify, inner_sgd,
-                          diagnostics, make_realizable, model, outer_step,
-                          project_ball, prox_ball, run, solve_theta_star,
-                          svd_rank)
+from twolayer_opt import (ConfigError, NetworkParams, NumericsError,
+                          RunConfig, builtin_activation, certify, inner_sgd,
+                          diagnostics, make_realizable, model, optimizer,
+                          outer_step, project_ball, prox_ball, run,
+                          solve_theta_star, svd_rank)
 from twolayer_opt.diagnostics import (lipschitz_ball_bound, lipschitz_estimates,
                                       theta_smoothness)
 from twolayer_opt.optimizer import InnerSummary, _resolve_beta, phase_noise
@@ -440,6 +440,33 @@ class TestRun:
                rec.sigma_min_d[-1], rec.resid_norm[-1])
         assert row == (cert.loss_value, cert.grad_norm, svd_rank(p.W).sigma_min,
                        cert.sigma_min_D, cert.residual_norm)
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(n_outer=12, n_inner=6, sigma=0.4, seed=5),
+        RunConfig(n_outer=12, n_inner=8, sigma=0.4, early_exit=True, seed=2),
+        RunConfig(n_outer=12, n_inner=1, theorem2_preset=True, seed=5),
+    ], ids=["noisy", "early_exit", "theorem2_preset"])
+    def test_uncertified_rows(self, cfg):
+        ds = make_realizable(3, 9, seed=4)
+        p1, r1 = run(SIG, ds, cfg)
+        p2, r2 = run(SIG, ds, cfg, certify_rows=False)
+        np.testing.assert_array_equal(p1.W, p2.W)
+        np.testing.assert_array_equal(p1.theta, p2.theta)
+        for name in ("k", "grad_norm", "inner_steps"):
+            np.testing.assert_array_equal(getattr(r1, name), getattr(r2, name))
+        for name in ("f", "sigma_min_w", "sigma_min_d", "resid_norm"):
+            assert np.all(np.isnan(getattr(r2, name)[:-1]))
+        assert ({col: vals[-1] for col, vals in r1.columns().items()}
+                == {col: vals[-1] for col, vals in r2.columns().items()})
+        assert r1.derived["spectrum"] == {"svd": len(r1)}
+        assert r2.derived == {**r1.derived, "spectrum": {"svd": 1}}
+
+    def test_uncertified_row_non_finite_gradient(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "grad_W",
+                            lambda p, a, ds: np.full(p.W.shape, np.inf))
+        cfg = RunConfig(n_outer=3, n_inner=2, seed=1)
+        with pytest.raises(NumericsError, match="outer iteration 0$"):
+            run(SIG, make_realizable(3, 9, seed=4), cfg, certify_rows=False)
 
     def test_record_shape_and_finiteness(self):
         ds = make_realizable(3, 9, seed=4)
