@@ -131,7 +131,12 @@ def read_sidecar(path, keys: dict) -> dict:
     """The sidecar of the table at path.  keys maps each required key to its
     type, and the returned dict holds those keys converted to it; a sidecar
     that is not a JSON object, lacks a key, or holds a value of the wrong
-    kind or a count (an int: n, d or N) below 1 raises FormatError."""
+    kind or a count (an int: n, d or N) below 1 raises FormatError.  A
+    missing table raises IoError naming the table, not its sidecar."""
+    try:
+        Path(path).stat()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     meta_path = sidecar(path)
     meta = read_json(meta_path)
     if not isinstance(meta, dict):

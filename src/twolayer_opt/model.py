@@ -32,10 +32,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Hidden layer W (n x d) and output layer theta (n,), with 1 <= n <= d."""
+    """Hidden layer W (n x d) and output layer theta (n,), with 1 <= n <= d.
+    The constructor checks shapes and finiteness; the trainer's iterates
+    come from the unchecked NetworkParams._derived."""
 
     W: np.ndarray
     theta: np.ndarray
+
+    @classmethod
+    def _derived(cls, W: np.ndarray, theta: np.ndarray) -> "NetworkParams":
+        """NetworkParams holding W and theta as given, unchecked.  The
+        caller guarantees the invariant __post_init__ establishes: both are
+        finite float arrays of a validated NetworkParams' shapes."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "W", W)
+        object.__setattr__(p, "theta", theta)
+        return p
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)

@@ -37,6 +37,10 @@ used, after a check of its bound.
 
 Runs are bit-reproducible from (config, dataset): all randomness flows from
 one seeded generator, drawn in a fixed order.
+
+The loop validates only the array that changed: run checks that each
+phase's theta is finite, outer_step the gradient's shape and the new W's
+finiteness, and NetworkParams._derived carries the other array unchecked.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -271,7 +275,7 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
     ys, sum_y, exited = [], [0.0] * n, False
     for c in Cq.tolist():
-        y = [g * yi + ci for g, yi, ci in zip(lag_l, y, c)]
+        y = list(map(add, map(mul, lag_l, y), c))
         norm = math.hypot(*y)
         if norm > radius:
             scale = radius / norm
@@ -301,9 +305,16 @@ def outer_step(p: NetworkParams, grad: np.ndarray, gamma: float,
                lipschitz_bound: float) -> NetworkParams:
     """One full-gradient descent step W - gamma grad on the hidden layer
     (theta unchanged), where grad is grad_W f at p and gamma must satisfy
-    0 < gamma < 2/L for the W-smoothness bound L = lipschitz_bound."""
+    0 < gamma < 2/L for the W-smoothness bound L = lipschitz_bound.  A grad
+    not of W's shape raises ShapeError, and a non-finite new W
+    NumericsError; p's theta is carried over unchecked."""
     _check_gamma(gamma, lipschitz_bound)
-    return replace(p, W=p.W - gamma * grad)
+    if grad.shape != p.W.shape:
+        raise ShapeError(f"grad has shape {grad.shape}, W has {p.W.shape}")
+    W = p.W - gamma * grad
+    if not np.isfinite(W).all():
+        raise NumericsError("non-finite entries in W after the outer step")
+    return NetworkParams._derived(W, p.theta)
 
 
 THETA_STAR_TOL = 1e-12          # solve_theta_star's gradient-map norm at exit
@@ -363,7 +374,8 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
     _check_gamma(gamma, L_ball)
 
     params = random_params(rng, ds.dim, cfg.init_w_scale, cfg.init_theta_scale)
-    params = replace(params, theta=project_ball(params.theta, cfg.R / 2.0))
+    params = NetworkParams._derived(params.W,
+                                    project_ball(params.theta, cfg.R / 2.0))
     f_init = loss(params, a, ds)
 
     rows = []   # one {TrajectoryRecord field: value} per row
@@ -380,7 +392,8 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
                        resid_norm=cert.residual_norm)
         else:   # grad_norm as certificate computes it, NaN for the rest
             row = dict.fromkeys(CERTIFICATE_FIELDS, math.nan)
-            row["grad_norm"] = float(np.linalg.norm(g))
+            flat = g.ravel()   # np.linalg.norm's own arithmetic, less overhead
+            row["grad_norm"] = math.sqrt(flat.dot(flat))
         if not all(math.isfinite(row[name]) for name in
                    (CERTIFICATE_FIELDS if certified else ("grad_norm",))):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
@@ -389,7 +402,9 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
 
     for k in range(n_outer):
         theta, summary = inner_sgd(params, a, ds, cfg, rng)
-        params = replace(params, theta=theta)
+        if not np.isfinite(theta).all():
+            raise NumericsError(f"non-finite theta at outer iteration {k}")
+        params = NetworkParams._derived(params.W, theta)
         g = record(k, params, summary, certify_rows)
         params = outer_step(params, g, gamma, L_ball)
 

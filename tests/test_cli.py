@@ -453,6 +453,34 @@ class TestDiagnose:
         assert "'N'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["train", "diagnose"])
+@pytest.mark.parametrize("missing", ["table", "sidecar"])
+def test_missing_input_named(tmp_path, capsys, command, missing):
+    # the sidecar is read before its table, yet a missing table is
+    # reported by the table's name
+    run_cli("generate", "--d", "3", "--n-samples", "9",
+            "--out", str(tmp_path), "--name", "demo")
+    table = tmp_path / "gone.csv"
+    if missing == "sidecar":
+        if command == "train":
+            run_cli("generate", "--d", "3", "--n-samples", "9",
+                    "--out", str(tmp_path), "--name", "gone")
+        else:
+            model.save_params(model.NetworkParams(np.eye(3), np.ones(3)),
+                              table, "sigmoid")
+        (tmp_path / "gone.meta.json").unlink()
+    inputs = (["--data", str(table)] if command == "train" else
+              ["--data", str(tmp_path / "demo.csv"), "--params", str(table)])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(command, *inputs, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    named = table if missing == "table" else tmp_path / "gone.meta.json"
+    assert err.count("\n") == 1 and f"cannot read {named}:" in err
+    assert (".meta.json" in err) == (missing == "sidecar")
+    assert not out.exists()
+
+
 class TestVerify:
     def test_gradcheck_json_shape(self, tmp_path, capsys):
         code = run_cli("verify", "gradcheck", "--instances", "2",
@@ -532,7 +560,7 @@ class TestVerify:
         out = tmp_path / "out"
         assert run_cli("train", "--config", str(config), "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(missing.with_suffix("")) in err
+        assert err.count("\n") == 1 and f"cannot read {missing}:" in err
         assert not out.exists()
 
     def test_unknown_suite_usage_error(self, capsys):

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolayer_opt import (ConfigError, NetworkParams, NumericsError,
-                          RunConfig, builtin_activation, certify, inner_sgd,
-                          diagnostics, make_realizable, model, optimizer,
-                          outer_step, project_ball, prox_ball, run,
-                          solve_theta_star, svd_rank)
+                          RunConfig, ShapeError, builtin_activation, certify,
+                          inner_sgd, diagnostics, make_realizable, model,
+                          optimizer, outer_step, project_ball, prox_ball,
+                          random_params, run, solve_theta_star, svd_rank)
 from twolayer_opt.diagnostics import (lipschitz_ball_bound, lipschitz_estimates,
                                       theta_smoothness)
 from twolayer_opt.optimizer import InnerSummary, _resolve_beta, phase_noise
@@ -322,6 +322,21 @@ class TestOuterStep:
         with pytest.raises(ConfigError):
             outer_step(p, g, 0.0, L)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3)])
+    def test_grad_shape_mismatch(self, shape):
+        # W - gamma grad would broadcast either gradient over W's rows
+        p = NetworkParams(np.eye(3), np.ones(3))
+        with pytest.raises(ShapeError, match=r"\(3, 3\)"):
+            outer_step(p, np.ones(shape), 0.1, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_grad(self, bad):
+        p = NetworkParams(np.eye(3), np.ones(3))
+        grad = np.zeros((3, 3))
+        grad[1, 2] = bad
+        with pytest.raises(NumericsError):
+            outer_step(p, grad, 0.1, 1.0)
+
 
 class TestSolveThetaStar:
     def test_gradient_map_tolerance(self, rng):
@@ -467,6 +482,53 @@ class TestRun:
         cfg = RunConfig(n_outer=3, n_inner=2, seed=1)
         with pytest.raises(NumericsError, match="outer iteration 0$"):
             run(SIG, make_realizable(3, 9, seed=4), cfg, certify_rows=False)
+
+    @pytest.mark.parametrize("certify_rows", [True, False])
+    def test_non_finite_theta_names_iteration(self, monkeypatch, certify_rows):
+        cfg = RunConfig(n_outer=5, n_inner=3, sigma=0.2, seed=1)
+        program, phase = optimizer.inner_sgd, iter(range(cfg.n_outer))
+
+        def poisoned(p, a, ds, cfg, rng):
+            theta, summary = program(p, a, ds, cfg, rng)
+            if next(phase) == 2:
+                theta = theta.copy()
+                theta[1] = np.nan
+            return theta, summary
+
+        monkeypatch.setattr(optimizer, "inner_sgd", poisoned)
+        with pytest.raises(NumericsError, match="outer iteration 2$"):
+            run(SIG, make_realizable(3, 9, seed=4), cfg,
+                certify_rows=certify_rows)
+
+    @pytest.mark.parametrize("preset", [False, True],
+                             ids=["noisy", "theorem2_preset"])
+    def test_matches_public_pieces(self, preset):
+        # run carries its iterates unchecked (NetworkParams._derived); the
+        # same loop of checked public pieces gives the same bits
+        ds = make_realizable(3, 9, seed=4)
+        n_o = 9
+        if preset:
+            cfg = RunConfig(n_outer=n_o, theorem2_preset=True, seed=5)
+            inner = RunConfig(n_inner=n_o, sigma=1.0 / math.sqrt(n_o))
+        else:
+            cfg = inner = RunConfig(n_outer=n_o, n_inner=6, sigma=0.4, seed=5)
+        L = lipschitz_ball_bound(SIG, ds, cfg.R)
+        rng = np.random.default_rng(cfg.seed)
+        p = random_params(rng, 3)
+        p = NetworkParams(p.W, project_ball(p.theta, cfg.R / 2.0))
+        norms = []
+        for _ in range(n_o):
+            theta, _ = inner_sgd(p, SIG, ds, inner, rng)
+            p = NetworkParams(p.W, theta)
+            g = model.grad_W(p, SIG, ds)
+            norms.append(float(np.linalg.norm(g)))
+            p = outer_step(p, g, 1.0 / L, L)
+        norms.append(float(np.linalg.norm(model.grad_W(p, SIG, ds))))
+        for certify_rows in (True, False):
+            params, rec = run(SIG, ds, cfg, certify_rows=certify_rows)
+            np.testing.assert_array_equal(params.W, p.W)
+            np.testing.assert_array_equal(params.theta, p.theta)
+            assert rec.grad_norm.tolist() == norms
 
     def test_record_shape_and_finiteness(self):
         ds = make_realizable(3, 9, seed=4)
