@@ -5,7 +5,9 @@ Subcommands: generate, train, diagnose, verify <suite>, plotdata.  Each
 (and each verify suite, SUITE_FLAGS) takes only the flags it reads (see
 build_parser); a train flag overrides the run config key it is named after,
 a dataset flag the recipe key in RECIPE_KEYS, and --activation the config's
-activation.  A config key that nothing reads is an error.
+activation.  Every command given --config reads and checks all of it
+(ExperimentSpec.from_dict), and a key that nothing reads is an error;
+generate and train write into its out_dir unless --out is given.
 Exit codes: 0 pass, 1 suite failure, 2 usage/config error (a count too
 large to allocate included), 3 numeric failure (a NumericsError, an overflow
 in Python float arithmetic, or an overflow, invalid operation or division by
@@ -60,42 +62,45 @@ def read_trajectory_csv(path) -> dict:
 
 # ------------------------------------------------------------ spec loading
 
-# dataset recipe key -> (generate/train flag dest, JSON type, default); the
-# recipe holds make_realizable's arguments
+# dataset recipe key -> (generate/train flag, JSON type, whether it takes
+# null); the recipe holds make_realizable's arguments, and its signature
+# their defaults
 RECIPE_KEYS = {
-    "d": ("d", int, None), "N": ("n_samples", int, None),
-    "dist": ("dist", str, "uniform_cube"), "seed": ("data_seed", int, 0),
-    "teacher_seed": ("teacher_seed", int, None),
-    "noise_std": ("noise_std", float, 0.0),
+    "d": ("--d", int, True), "N": ("--n-samples", int, True),
+    "dist": ("--dist", str, False), "seed": ("--data-seed", int, False),
+    "teacher_seed": ("--teacher-seed", int, True),
+    "noise_std": ("--noise-std", float, False),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """JSON experiment description; CLI flags override individual fields.
+    """JSON experiment description, checked whole; flags override fields.
 
-    dataset is either {"path": <csv>} or an inline recipe with the keys of
-    RECIPE_KEYS.
+    dataset is either {"path": <csv>} or an inline recipe: the keys of
+    RECIPE_KEYS that the config gives a value other than null.
     """
 
     name: str = "run"
     dataset: dict = field(default_factory=dict)
     activation: str = "sigmoid"
-    run: dict = field(default_factory=dict)
+    run: RunConfig = field(default_factory=RunConfig)
     repetitions: int = 1
     out_dir: str = "."
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         """ExperimentSpec from a JSON config object.  Each key takes the
-        JSON type of its field's default.  An unknown key raises
-        ConfigError, and a value of the wrong JSON type FormatError, each
-        naming the key."""
+        JSON type of its field's default (run: RunConfig.from_dict's
+        object).  An unknown key raises ConfigError, and a value of the
+        wrong JSON type FormatError, each naming the key."""
         files.check_keys(data, [f.name for f in fields(cls)], "config")
         default = cls()
-        spec = cls(**{key: files.json_field(type(getattr(default, key)), value,
-                                            f"config key {key!r}")
-                      for key, value in data.items()})
+        values = {key: files.json_field(
+                      dict if key == "run" else type(getattr(default, key)),
+                      value, f"config key {key!r}")
+                  for key, value in data.items()}
+        spec = cls(**{**values, "run": RunConfig.from_dict(values.get("run", {}))})
         try:
             file_name(spec.name)
         except argparse.ArgumentTypeError as exc:
@@ -107,14 +112,19 @@ class ExperimentSpec:
                 f"config key 'activation' must be one of "
                 f"{', '.join(ACTIVATION_NAMES)}, got {spec.activation!r}")
         files.check_keys(spec.dataset, ["path", *RECIPE_KEYS], "config 'dataset'")
-        recipe = [key for key in spec.dataset if key != "path"]
+        recipe = {key: value for key, value in spec.dataset.items() if key != "path"}
         if "path" in spec.dataset and recipe:
             raise ConfigError(f"config 'dataset' holds both 'path' and recipe "
-                              f"keys {recipe}; give a file or a recipe")
-        # only train reads the file, and dataset.load names it if missing
-        files.json_field(str, spec.dataset.get("path", ""),
-                         "config key 'dataset.path'")
-        return spec
+                              f"keys {list(recipe)}; give a file or a recipe")
+        if "path" in spec.dataset:
+            # only train reads the file, and dataset.load names it if missing
+            return replace(spec, dataset={"path": files.json_field(
+                str, spec.dataset["path"], "config key 'dataset.path'")})
+        return replace(spec, dataset={
+            key: files.json_field(RECIPE_KEYS[key][1], value,
+                                  f"dataset recipe key {key!r}")
+            for key, value in recipe.items()
+            if not (value is None and RECIPE_KEYS[key][2])})
 
 
 def _load_spec(args, activation: str = "sigmoid") -> ExperimentSpec:
@@ -133,65 +143,42 @@ def _flag_value(args, flag: str):
     return getattr(args, flag[2:].replace("-", "_"))
 
 
-def _file_or_recipe(path, args) -> None:
-    """A dataset read from `path` takes no dataset recipe flag."""
-    flags = [flag for flag in DATASET_FLAGS if _flag_value(args, flag) is not None]
-    if path and flags:
-        raise ConfigError(f"the dataset is read from {path}, so "
-                          f"{', '.join(flags)} cannot describe it")
-
-
-def _dataset_recipe(args, spec: ExperimentSpec) -> dict:
-    """make_realizable arguments: each flag given, else the spec's recipe
-    value, else the RECIPE_KEYS default.  A null is taken only where the
-    default is None."""
-    _file_or_recipe(spec.dataset.get("path"), args)
-    recipe = {}
-    for key, (dest, kind, default) in RECIPE_KEYS.items():
-        value = getattr(args, dest)
-        if value is None:
-            value = spec.dataset.get(key, default)
-        recipe[key] = (None if value is None and default is None else
-                       files.json_field(kind, value, f"dataset recipe key {key!r}"))
-    if recipe["d"] is None or recipe["N"] is None:
+def _dataset_from_args(args, spec: ExperimentSpec):
+    """The dataset and its description.  train reads the file at --data or
+    the spec's dataset.path, which takes no dataset flag; otherwise
+    make_realizable builds it from the spec's recipe with each dataset flag
+    given over its key."""
+    given = {key: value for key, (flag, _, _) in RECIPE_KEYS.items()
+             if (value := _flag_value(args, flag)) is not None}
+    path = getattr(args, "data", None) or spec.dataset.get("path")
+    if path and given:
+        raise ConfigError(
+            f"the dataset is read from {path}, so "
+            f"{', '.join(RECIPE_KEYS[key][0] for key in given)} cannot describe it")
+    if path and "data" in args:   # generate makes a dataset, never reads one
+        return ds_mod.load(path), str(path)
+    recipe = {**spec.dataset, **given}
+    if "d" not in recipe or "N" not in recipe:
         raise ConfigError(
             "no dataset: pass --d and --n-samples (train also takes --data)")
-    return recipe
-
-
-def _dataset_from_args(args, spec: ExperimentSpec):
-    """Dataset from --data path, the spec's dataset entry, or inline flags."""
-    path = args.data or spec.dataset.get("path")
-    if path:
-        _file_or_recipe(path, args)
-        return ds_mod.load(path), str(path)
-    recipe = _dataset_recipe(args, spec)
     ds = ds_mod.make_realizable(activation=spec.activation, **recipe)
-    return ds, "inline(d={d}, N={N}, dist={dist}, seed={seed})".format(**recipe)
-
-
-def _run_config_from_args(args, spec: ExperimentSpec) -> RunConfig:
-    """The spec's run section, with each train flag that was given over its
-    field (a run flag's dest is its RunConfig field)."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if getattr(args, f.name) is not None}
-    return replace(RunConfig.from_dict(spec.run), **given)
+    return ds, (f"inline(d={ds.dim}, N={ds.n_samples}, "
+                f"dist={ds.provenance.distribution}, seed={ds.provenance.seed})")
 
 
 # ------------------------------------------------------------- subcommands
 
 def cmd_generate(args) -> int:
     spec = _load_spec(args)
-    recipe = _dataset_recipe(args, spec)
-    d, N, dist = recipe["d"], recipe["N"], recipe["dist"]
+    ds, _ = _dataset_from_args(args, spec)
+    d, N, dist = ds.dim, ds.n_samples, ds.provenance.distribution
     if args.warn_overparam and N > d * d:
         print(f"warning: N={N} exceeds d^2={d * d}; the full-column-rank "
               "certificate needs the number of samples to stay below the "
               "number of parameters (N <= n*d)", file=sys.stderr)
-    ds = ds_mod.make_realizable(activation=spec.activation, **recipe)
     name = f"{args.name}.csv"
     path, meta_path = files.output_paths(
-        args.out, [name, files.sidecar(name)], args.force)
+        args.out or spec.out_dir, [name, files.sidecar(name)], args.force)
     ds_mod.save(ds, path)
     print(f"wrote {path} and {meta_path} (d={d}, N={N}, dist={dist})")
     return 0
@@ -221,7 +208,8 @@ def cmd_train(args) -> int:
     name = args.name or spec.name
     reps = args.reps if args.reps is not None else spec.repetitions
     ds, ds_desc = _dataset_from_args(args, spec)
-    cfg = _run_config_from_args(args, spec)
+    cfg = replace(spec.run, **{f.name: value for f in fields(RunConfig)
+                               if (value := getattr(args, f.name)) is not None})
     outputs = files.output_paths(
         args.out or spec.out_dir,
         [f"{name}_rep{rep}.{kind}" for rep in range(reps)
@@ -316,7 +304,8 @@ def cmd_verify(args) -> int:
 def cmd_plotdata(args) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
-        raise IoError(f"run directory {run_dir} does not exist")
+        raise IoError(f"run directory {run_dir} " + (
+            "is not a directory" if run_dir.exists() else "does not exist"))
     traj_paths = sorted(run_dir.glob("*.trajectory.csv"))
     if not traj_paths:
         raise IoError(f"no *.trajectory.csv files under {run_dir}")
@@ -410,8 +399,7 @@ SHARED_FLAGS = {
 }
 SPEC_FLAGS = ("--config", "--activation")
 OUT_FLAGS = ("--out", "--force")
-DATASET_FLAGS = ("--d", "--n-samples", "--dist", "--data-seed", "--teacher-seed",
-                 "--noise-std")
+DATASET_FLAGS = tuple(flag for flag, _, _ in RECIPE_KEYS.values())
 # the flags each verify suite reads, in the order suite_<name> takes them
 # after (activation, seed)
 SUITE_FLAGS = {
@@ -445,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                   SPEC_FLAGS + DATASET_FLAGS + OUT_FLAGS)
     gen.add_argument("--name", type=file_name, default="data")
     gen.add_argument("--warn-overparam", action="store_true")
-    gen.set_defaults(out=".")
 
     tr = command("train", cmd_train, "run SGD-GD repetitions",
                  SPEC_FLAGS + ("--seed",) + DATASET_FLAGS + OUT_FLAGS)

@@ -74,6 +74,18 @@ class TestGenerate:
                 "--out", str(tmp_path), "--name", "ok")
         assert "number of samples" not in capsys.readouterr().err
 
+    def test_config_out_dir(self, tmp_path, monkeypatch, capsys):
+        # the config's out_dir holds the files unless --out is given
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_text(json.dumps({"out_dir": "gen"}))
+        assert run_cli("generate", "--config", "spec.json", "--d", "2",
+                       "--n-samples", "3", "--name", "x") == 0
+        assert sorted(os.listdir()) == ["gen", "spec.json"]
+        assert sorted(os.listdir("gen")) == ["x.csv", "x.meta.json"]
+        assert run_cli("generate", "--config", "spec.json", "--d", "2",
+                       "--n-samples", "3", "--name", "x", "--out", "o") == 0
+        assert sorted(os.listdir("o")) == ["x.csv", "x.meta.json"]
+
     def test_refuses_overwrite_without_force(self, tmp_path):
         args = ("generate", "--d", "2", "--n-samples", "4",
                 "--out", str(tmp_path), "--name", "x")
@@ -619,6 +631,13 @@ class TestPlotdata:
     def test_missing_dir_is_io_error(self, tmp_path):
         assert run_cli("plotdata", "--run-dir", str(tmp_path / "missing")) == 2
 
+    def test_run_dir_naming_a_file(self, tmp_path, capsys):
+        path = tmp_path / "r_rep0.trajectory.csv"
+        path.write_text("keep")
+        assert run_cli("plotdata", "--run-dir", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: run directory {path} is not a directory\n"
+
     @pytest.mark.parametrize("edit", ["k_value", "drop_row"])
     def test_mismatched_repetitions(self, tmp_path, capsys, edit):
         # repetitions are averaged row by row, so their k columns must agree
@@ -659,7 +678,7 @@ def test_readme_config_loads(tmp_path):
     cfg_path = tmp_path / "spec.json"
     cfg_path.write_text(block)
     spec = cli._load_spec(argparse.Namespace(config=str(cfg_path), activation=None))
-    RunConfig.from_dict(spec.run)
+    assert isinstance(spec.run, RunConfig) and spec.run.n_outer == 200
     assert spec.dataset["d"] == 3 and spec.repetitions == 3
 
 
@@ -810,6 +829,35 @@ def test_config_name_not_one_file_name(tmp_path, monkeypatch, capsys, name):
     err = capsys.readouterr().err
     assert "config key 'name'" in err and err.count("\n") == 1
     assert sorted(os.listdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"run": {"sigmaa": 1}}, "'sigmaa'"),
+    ({"run": {"N_o": "x"}}, "'N_o'"),
+    # generate and train are given --d over it
+    ({"dataset": {"d": "three", "N": 9}}, "'d'"),
+], ids=["unknown_run_key", "run_value_type", "recipe_value_type_under_flag"])
+@pytest.mark.parametrize("command", ["generate", "train", "diagnose",
+                                     "verify_gradcheck"])
+def test_every_command_checks_the_whole_config(tmp_path, capsys, command,
+                                               config, key):
+    # every command reads the config whole, whichever parts of it it uses
+    data = tmp_path / "d.csv"
+    dataset.save(dataset.make_realizable(2, 3), data)
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = {
+        "generate": ["generate", "--d", "2", "--n-samples", "3"],
+        "train": ["train", "--d", "2", "--n-samples", "3", "--n-outer", "1",
+                  "--n-inner", "1"],
+        "diagnose": ["diagnose", "--data", str(data)],
+        "verify_gradcheck": ["verify", "gradcheck", "--instances", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and key in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_count_too_large_to_allocate(tmp_path, monkeypatch, capsys):
