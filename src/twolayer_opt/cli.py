@@ -92,8 +92,9 @@ class ExperimentSpec:
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         """ExperimentSpec from a JSON config object.  Each key takes the
         JSON type of its field's default (run: RunConfig.from_dict's
-        object).  An unknown key raises ConfigError, and a value of the
-        wrong JSON type FormatError, each naming the key."""
+        object).  An unknown key raises ConfigError, a value of the wrong
+        JSON type FormatError, and a recipe value out of its range
+        ValueError (dataset.check_recipe), each naming the key."""
         files.check_keys(data, [f.name for f in fields(cls)], "config")
         default = cls()
         values = {key: files.json_field(
@@ -120,11 +121,12 @@ class ExperimentSpec:
             # only train reads the file, and dataset.load names it if missing
             return replace(spec, dataset={"path": files.json_field(
                 str, spec.dataset["path"], "config key 'dataset.path'")})
-        return replace(spec, dataset={
-            key: files.json_field(RECIPE_KEYS[key][1], value,
-                                  f"dataset recipe key {key!r}")
-            for key, value in recipe.items()
-            if not (value is None and RECIPE_KEYS[key][2])})
+        recipe = {key: files.json_field(RECIPE_KEYS[key][1], value,
+                                        f"dataset recipe key {key!r}")
+                  for key, value in recipe.items()
+                  if not (value is None and RECIPE_KEYS[key][2])}
+        ds_mod.check_recipe(**recipe)
+        return replace(spec, dataset=recipe)
 
 
 def _load_spec(args, activation: str = "sigmoid") -> ExperimentSpec:

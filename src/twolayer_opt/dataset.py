@@ -62,17 +62,29 @@ class Dataset:
         return self.inputs.shape[1]
 
 
+def check_recipe(**recipe) -> None:
+    """The one range check of a dataset recipe, given as any of
+    make_realizable's keyword arguments: ValueError naming the first key
+    out of its range, in this order."""
+    for key, ok, allowed in (
+            ("d", lambda d: d >= 1, ">= 1"), ("N", lambda N: N >= 1, ">= 1"),
+            ("seed", lambda seed: seed >= 0, ">= 0"),
+            ("teacher_seed", lambda seed: seed is None or seed >= 0, ">= 0"),
+            ("noise_std", lambda std: 0.0 <= std < np.inf, "finite and >= 0"),
+            ("dist", lambda dist: dist in DISTRIBUTIONS, " or ".join(DISTRIBUTIONS))):
+        if key in recipe and not ok(recipe[key]):
+            raise ValueError(f"dataset {key} must be {allowed}, got {recipe[key]!r}")
+
+
 def generate_inputs(d: int, N: int, dist: str = "uniform_cube",
                     seed: int = 0) -> np.ndarray:
-    """Draw N i.i.d. input vectors in R^d (deterministic given seed)."""
-    if d < 1 or N < 1:
-        raise ValueError(f"need d >= 1 and N >= 1, got d={d}, N={N}")
+    """Draw N i.i.d. input vectors in R^d (deterministic given seed); an
+    argument out of range raises ValueError naming it (check_recipe)."""
+    check_recipe(d=d, N=N, dist=dist, seed=seed)
     rng = np.random.default_rng(seed)
     if dist == "uniform_cube":
         return rng.uniform(-1.0, 1.0, size=(N, d))
-    if dist == "std_gaussian":
-        return rng.standard_normal((N, d))
-    raise ValueError(f"unknown distribution {dist!r}; choose from {DISTRIBUTIONS}")
+    return rng.standard_normal((N, d))
 
 
 def make_realizable(d: int, N: int, dist: str = "uniform_cube", seed: int = 0,
@@ -82,14 +94,9 @@ def make_realizable(d: int, N: int, dist: str = "uniform_cube", seed: int = 0,
     square teacher, model.random_params(default_rng(teacher_seed), d) with
     teacher_seed defaulting to seed + 1, so that f* = 0.  noise_std > 0 adds
     N(0, noise_std^2) label noise drawn from seed + 2.  The provenance's
-    teacher entry records the network and the noise.  A negative seed or
-    teacher_seed, or a noise_std that is not finite and >= 0, raises
-    ValueError naming it."""
-    for name, value in (("seed", seed), ("teacher_seed", teacher_seed)):
-        if value is not None and value < 0:
-            raise ValueError(f"dataset {name} must be >= 0, got {value}")
-    if not 0.0 <= noise_std < np.inf:
-        raise ValueError(f"dataset noise_std must be finite and >= 0, got {noise_std}")
+    teacher entry records the network and the noise.  A recipe argument out
+    of range raises ValueError naming it (check_recipe)."""
+    check_recipe(teacher_seed=teacher_seed, noise_std=noise_std)
     teacher_seed = seed + 1 if teacher_seed is None else teacher_seed
     inputs = generate_inputs(d, N, dist, seed)
     teacher = model.random_params(np.random.default_rng(teacher_seed), d)

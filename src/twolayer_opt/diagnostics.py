@@ -148,15 +148,6 @@ def theta_spectrum(features: np.ndarray):
     return np.linalg.eigh(G)
 
 
-def theta_smoothness(features: np.ndarray) -> float:
-    """Exact smoothness constant of the theta-subproblem from its feature
-    matrix H: lambda_max(H^T H) / N, the last of theta_spectrum's
-    eigenvalues (the number inner_sgd steps with).  Features too large to
-    square raise NumericsError (exit 3 from train, diagnose and verify)
-    rather than giving an L_theta of inf."""
-    return float(theta_spectrum(features)[0][-1])
-
-
 def _w_smoothness(a: ActivationFunction, ds: "Dataset", theta_max: float,
                  theta_norm: float):
     """(L_W, sum ||u||^2 |v|, sum ||u||^2): the W-gradient Lipschitz bound of
@@ -194,7 +185,7 @@ def lipschitz_estimates(p: NetworkParams, a: ActivationFunction,
         a.value_bound ** 2 * p.n if a.value_bound is not None else None)
     return LipschitzEstimate(
         l_w_bound=l_w,
-        l_theta_exact=float(theta_smoothness(H)),
+        l_theta_exact=float(theta_spectrum(H)[0][-1]),
         l_theta_bound_analytic=l_theta_analytic,
         inputs_summary={
             "theta_max": theta_max,

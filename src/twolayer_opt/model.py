@@ -136,15 +136,10 @@ def loss(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> float:
     return objective(residuals(p, a, ds))
 
 
-def theta_gradient(H: np.ndarray, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Gradient in theta of (1/2N) ||v - H theta||^2 on fixed features H."""
-    return -(H.T @ (v - H @ theta)) / len(v)
-
-
 def grad_theta(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """Exact gradient of f in theta: -(1/N) sum_i s_i h(W u_i)."""
     _, _, H = _features(a, p.W, ds.inputs)
-    return theta_gradient(H, ds.labels, p.theta)
+    return -(H.T @ (ds.labels - H @ p.theta)) / len(ds.labels)
 
 
 def grad_W(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:

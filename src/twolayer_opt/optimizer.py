@@ -17,12 +17,13 @@ holds the W step's grad_norm and NaN in the other certificate columns.
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
 theta <- P_ball((I - beta G) theta + beta (b - xi_t)).  The phase computes
-H, G, b and all n_inner noise vectors xi_t once (one generator call), and
-one eigendecomposition G = Q diag(lam) Q^T, whose lam[-1] is L_theta.  The
-steps run one at a time in G's eigenbasis, where I - beta G is the
-diagonal 1 - beta lam: each costs O(n) and touches none of the N samples,
-and a phase costs the same whether the ball binds at its first step or
-never.
+H, G, b and one eigendecomposition G = Q diag(lam) Q^T, whose lam[-1] is
+L_theta, once.  The steps run one at a time in G's eigenbasis, where
+I - beta G is the diagonal 1 - beta lam: each costs O(n) and touches none
+of the N samples, and a phase costs the same whether the ball binds at its
+first step or never.  The noise is drawn INNER_BLOCK steps at a time, so a
+phase's memory does not grow with n_inner.  The same eigenbasis gives the
+subproblem's exact minimizer over the ball (solve_theta_star).
 
 Step sizes: a beta or gamma left at None is derived; one that is given is
 used, after a check of its bound.
@@ -55,11 +56,11 @@ import numpy as np
 
 from .activations import ActivationFunction
 from .diagnostics import (certificate, lipschitz_ball_bound, svd_rank,
-                          theta_smoothness, theta_spectrum)
+                          theta_spectrum)
 from .errors import ConfigError, NumericsError, ShapeError
 from .files import check_keys, json_field
 from .model import (NetworkParams, _features, grad_W, loss, objective,
-                    random_params, stationarity_system, theta_gradient)
+                    random_params, stationarity_system)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -74,6 +75,7 @@ RUN_KEYS = {
 }
 INIT_KEYS = {"W_scale": ("init_w_scale", float),
              "theta_scale": ("init_theta_scale", float)}
+INNER_BLOCK = 4096   # inner steps per phase_noise draw: a phase's memory bound
 
 
 @dataclass(frozen=True)
@@ -243,8 +245,9 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
 
     Step t is theta <- P_ball((I - beta G) theta + beta (b - xi_t)) (see
     the module docstring), taken in G's eigenbasis, where I - beta G is
-    diagonal.  An early exit after k steps rewinds rng and redraws k rows
-    of phase_noise, leaving it where k per-step draws would.
+    diagonal.  Each block of INNER_BLOCK steps draws its phase_noise in one
+    call; an early exit after k steps of a block rewinds rng and redraws k
+    rows, leaving it where k per-step draws would.
     """
     n_inner, sigma, early_exit = cfg.n_inner, cfg.sigma, cfg.early_exit
     radius = cfg.R / 2.0
@@ -262,35 +265,41 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     # in G's eigenbasis y = Q^T theta a step is y <- P_ball(lag * y + Cq[t]),
     # with lag = 1 - beta lam in [1/2, 1]; Q is orthogonal, so y has theta's
     # norm and projecting y projects theta
-    n, N = p.n, len(v)
-    state = rng.bit_generator.state if early_exit else None
-    Cq = beta * (H.T @ v / N - phase_noise(rng, sigma, n_inner, n)) @ Q
+    n, b = p.n, H.T @ v / len(v)
     lag = 1.0 - beta * lam
 
     # the steps run on Python floats: with n a handful of hidden units, a
     # numpy call on an n-vector costs more than its arithmetic.  The
-    # projection is project_ball's, on lists.  The iterates ys are summed once
-    # in running-sum order (not by sum(), which compensates on Python 3.12+)
+    # projection is project_ball's, on lists.  sum_y adds the iterates in
+    # running-sum order (not by sum(), which compensates on Python 3.12+),
+    # folding each block's ys once unless early exit tests every step
     f_incoming = f_of(p.theta) if early_exit else None
     lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
-    ys, sum_y, exited = [], [0.0] * n, False
-    for c in Cq.tolist():
-        y = list(map(add, map(mul, lag_l, y), c))
-        norm = math.hypot(*y)
-        if norm > radius:
-            scale = radius / norm
-            y = [yi * scale for yi in y]
-        ys.append(y)
-        if early_exit:
-            sum_y = [s + yi for s, yi in zip(sum_y, y)]
-            if f_of(Q @ np.divide(sum_y, len(ys))) <= f_incoming:
-                exited = True
-                break
-    steps = len(ys)
-    theta_avg = Q @ np.divide([reduce(add, col, 0.0) for col in zip(*ys)], steps)
-    if steps < n_inner:   # leave rng where step-by-step draws would
-        rng.bit_generator.state = state
-        phase_noise(rng, sigma, steps, n)
+    sum_y, steps, exited = [0.0] * n, 0, False
+    while steps < n_inner and not exited:
+        rows = min(INNER_BLOCK, n_inner - steps)
+        state = rng.bit_generator.state if early_exit else None
+        Cq = beta * (b - phase_noise(rng, sigma, rows, n)) @ Q
+        ys = []
+        for c in Cq.tolist():
+            y = list(map(add, map(mul, lag_l, y), c))
+            norm = math.hypot(*y)
+            if norm > radius:
+                scale = radius / norm
+                y = [yi * scale for yi in y]
+            ys.append(y)
+            if early_exit:
+                sum_y = [s + yi for s, yi in zip(sum_y, y)]
+                if f_of(Q @ np.divide(sum_y, steps + len(ys))) <= f_incoming:
+                    exited = True
+                    break
+        if not early_exit:
+            sum_y = [reduce(add, col, s) for s, col in zip(sum_y, zip(*ys))]
+        steps += len(ys)
+        if len(ys) < rows:   # leave rng where step-by-step draws would
+            rng.bit_generator.state = state
+            phase_noise(rng, sigma, len(ys), n)
+    theta_avg = Q @ np.divide(sum_y, steps)
     return theta_avg, InnerSummary(steps=steps, beta=beta, l_theta=l_theta,
                                    early_exit=exited)
 
@@ -317,34 +326,29 @@ def outer_step(p: NetworkParams, grad: np.ndarray, gamma: float,
     return NetworkParams._derived(W, p.theta)
 
 
-THETA_STAR_TOL = 1e-12          # solve_theta_star's gradient-map norm at exit
-THETA_STAR_MAX_ITER = 200_000   # and its step budget
-
-
 def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
                      radius: float) -> np.ndarray:
-    """Deterministic reference minimizer of the convex theta-subproblem over
-    the ball, by projected gradient run to gradient-map norm THETA_STAR_TOL.
-
-    Warm-started at the (projected) least-squares solution, so convergence
-    is typically immediate.
-    """
+    """Exact minimizer theta* of the convex theta-subproblem over the ball
+    ||theta|| <= radius, by the trust-region step of Moré and Sorensen
+    ("Computing a trust region step", SIAM J. Sci. Stat. Comput. 4, 1983)
+    in theta_spectrum's eigenbasis G = Q diag(lam) Q^T: theta* = Q y(mu),
+    y(mu) = c / (lam + mu) with c = Q^T H^T v / N (0 where c_i = 0), for the
+    least mu >= m = max(0, -lam_min) that puts y(mu) in the ball: m, or the
+    root of ||y(mu)|| = radius bisected on [m, m + ||c|| / radius]."""
     _, _, H = _features(a, p.W, ds.inputs)
-    v = ds.labels
-    l_theta = theta_smoothness(H)
-    if l_theta == 0.0:
-        return np.zeros(p.n)
-    eta = 1.0 / l_theta
-    lstsq = np.linalg.lstsq(H, v, rcond=None)[0]
-    theta = project_ball(lstsq, radius)
-    for _ in range(THETA_STAR_MAX_ITER):
-        nxt = prox_ball(theta, eta * theta_gradient(H, v, theta), radius)
-        if np.linalg.norm(theta - nxt) / eta <= THETA_STAR_TOL:
-            return nxt
-        theta = nxt
-    raise NumericsError(
-        f"theta-subproblem solver did not reach gradient-map tol "
-        f"{THETA_STAR_TOL} in {THETA_STAR_MAX_ITER} iterations")
+    lam, Q = theta_spectrum(H)
+    c = (H.T @ ds.labels / len(ds.labels)) @ Q
+
+    @np.errstate(divide="ignore", over="ignore")   # c_i / 0 is an inf entry
+    def y_of(mu):
+        y = np.divide(c, lam + mu, out=np.zeros_like(c), where=c != 0.0)
+        return y, np.linalg.norm(y) <= radius
+
+    lo = max(0.0, -float(lam[0]))
+    hi = lo if y_of(lo)[1] else lo + float(np.linalg.norm(c)) / radius
+    while lo < (mid := 0.5 * (lo + hi)) < hi:   # down to adjacent floats
+        lo, hi = (lo, mid) if y_of(mid)[1] else (mid, hi)
+    return Q @ y_of(hi)[0]
 
 
 def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twolayer_opt import Dataset, NetworkParams, Provenance, model, optimizer
-from twolayer_opt.diagnostics import theta_smoothness
+from twolayer_opt.diagnostics import theta_spectrum
 from twolayer_opt.verify import rel_err  # noqa: F401  (re-exported to the tests)
 
 
@@ -36,7 +36,7 @@ def reference_inner_sgd(p, a, ds, cfg, rng):
     def f_of(theta):
         return model.objective(v - H @ theta)
 
-    l_theta = theta_smoothness(H)
+    l_theta = float(theta_spectrum(H)[0][-1])
     beta = optimizer._resolve_beta(cfg, l_theta)
     f_incoming = f_of(p.theta)
     theta_bar = p.theta
@@ -46,7 +46,7 @@ def reference_inner_sgd(p, a, ds, cfg, rng):
     exited = False
     largest = 0.0
     for _ in range(n_inner):
-        g = model.theta_gradient(H, v, theta_bar)
+        g = -(H.T @ (v - H @ theta_bar)) / len(v)
         if sigma > 0.0:
             g = g + rng.normal(0.0, sigma / math.sqrt(g.size), size=g.size)
         theta_bar = optimizer.prox_ball(theta_bar, beta * g, radius)

@@ -836,9 +836,14 @@ def test_config_name_not_one_file_name(tmp_path, monkeypatch, capsys, name):
     ({"run": {"N_o": "x"}}, "'N_o'"),
     # generate and train are given --d over it
     ({"dataset": {"d": "three", "N": 9}}, "'d'"),
-], ids=["unknown_run_key", "run_value_type", "recipe_value_type_under_flag"])
+    # a recipe value out of its range; the seed is named before the dist
+    ({"dataset": {"d": 3, "N": 9, "seed": -1, "dist": "foo"}}, "dataset seed"),
+    ({"dataset": {"d": 0, "N": 9}}, "dataset d"),
+    ({"dataset": {"d": 3, "N": 9, "noise_std": -1}}, "dataset noise_std"),
+], ids=["unknown_run_key", "run_value_type", "recipe_value_type_under_flag",
+        "recipe_seed_negative", "recipe_d_0", "recipe_noise_std_negative"])
 @pytest.mark.parametrize("command", ["generate", "train", "diagnose",
-                                     "verify_gradcheck"])
+                                     "verify_gradcheck", "verify_certify"])
 def test_every_command_checks_the_whole_config(tmp_path, capsys, command,
                                                config, key):
     # every command reads the config whole, whichever parts of it it uses
@@ -852,6 +857,7 @@ def test_every_command_checks_the_whole_config(tmp_path, capsys, command,
                   "--n-inner", "1"],
         "diagnose": ["diagnose", "--data", str(data)],
         "verify_gradcheck": ["verify", "gradcheck", "--instances", "1"],
+        "verify_certify": ["verify", "certify"],
     }[command]
     out = tmp_path / "out"
     assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 2

@@ -1,6 +1,7 @@
 """Prox mapping, inner SGD, outer descent, and full SGD-GD runs."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from twolayer_opt import (ConfigError, NetworkParams, NumericsError,
                           optimizer, outer_step, project_ball, prox_ball,
                           random_params, run, solve_theta_star, svd_rank)
 from twolayer_opt.diagnostics import (lipschitz_ball_bound, lipschitz_estimates,
-                                      theta_smoothness)
+                                      theta_spectrum)
 from twolayer_opt.optimizer import InnerSummary, _resolve_beta, phase_noise
 
 SIG = builtin_activation("sigmoid")
@@ -255,15 +256,51 @@ class TestInnerSgd:
             assert 0 not in first_contacts
             assert any(first_contacts) != (early_exit and sigma == 0.0)
 
+    @pytest.mark.parametrize("early_exit", [False, True])
+    def test_blocks_leave_the_run_unchanged(self, monkeypatch, early_exit):
+        # with 7-row blocks a 25-step phase draws its noise in 4 calls
+        # (7 + 7 + 7 + 4 rows) and folds its sums per block; the run is the
+        # same bits as with one block per phase.  Under early exit the second
+        # phase stops at step 14, the last of its second block
+        ds = make_realizable(3, 9, seed=6)
+        cfg = RunConfig(n_outer=5, n_inner=25, sigma=0.5, early_exit=early_exit,
+                        seed=6)
+        whole = run(SIG, ds, cfg)
+        monkeypatch.setattr(optimizer, "INNER_BLOCK", 7)
+        blocked = run(SIG, ds, cfg)
+        assert blocked[0].W.tolist() == whole[0].W.tolist()
+        assert blocked[0].theta.tolist() == whole[0].theta.tolist()
+        for column, values in whole[1].columns().items():
+            np.testing.assert_array_equal(blocked[1].columns()[column], values)
+        assert whole[1].inner_steps.tolist() == (
+            [1, 14, 1, 4, 1, 0] if early_exit else [25] * 5 + [0])
+
+    def test_memory_independent_of_n_inner(self):
+        # a phase holds one block of noise rows and iterates at a time, so
+        # four blocks' worth of steps peak where one block does
+        p, ds = random_instance(np.random.default_rng(0), d=3, n=3, N=9)
+
+        def traced_peak(n_inner):
+            cfg = RunConfig(n_outer=1, n_inner=n_inner, sigma=0.5)
+            tracemalloc.start()
+            try:
+                inner_sgd(p, SIG, ds, cfg, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = traced_peak(optimizer.INNER_BLOCK)
+        assert traced_peak(4 * optimizer.INNER_BLOCK) <= one + 64 * 1024
+
     def test_l_theta_is_theta_smoothness(self, rng):
-        # one L_theta formula: inner_sgd's, theta_smoothness's and
+        # one L_theta formula: inner_sgd's, theta_spectrum's and
         # lipschitz_estimates' agree exactly, and with the SVD of H
         for _ in range(20):
             p, ds = random_instance(rng)
             _, _, H = model._features(SIG, p.W, ds.inputs)
             _, summary = inner_sgd(p, SIG, ds, RunConfig(n_outer=1, n_inner=3),
                                    np.random.default_rng(0))
-            assert summary.l_theta == theta_smoothness(H) == \
+            assert summary.l_theta == theta_spectrum(H)[0][-1] == \
                 lipschitz_estimates(p, SIG, ds).l_theta_exact
             top = np.linalg.svd(H, compute_uv=False)[0]
             assert summary.l_theta == pytest.approx(top * top / len(H), rel=1e-13)
@@ -357,6 +394,40 @@ class TestSolveThetaStar:
         radius = np.linalg.norm(theta_ls) * 2 + 1.0
         theta_star = solve_theta_star(p, SIG, ds, radius)
         np.testing.assert_allclose(theta_star, theta_ls, atol=1e-9)
+
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("singular", [False, True], ids=["G", "N_below_n"])
+    def test_kkt_conditions(self, rng, radius, singular):
+        # theta* minimises the convex subproblem over the ball iff, with
+        # g = grad f(theta*), g = 0 inside the ball, and on its boundary
+        # ||theta*|| = radius and g = -mu theta* for some mu >= 0.  N < n
+        # makes G singular.  Tolerances are relative to g's terms, ||b|| and
+        # L_theta ||theta*||
+        for _ in range(50):
+            d = int(rng.integers(2, 6))
+            p, ds = (random_instance(rng, d=d, n=d, N=int(rng.integers(1, d)))
+                     if singular else random_instance(rng, d=d))
+            theta = solve_theta_star(p, SIG, ds, radius)
+            g = model.grad_theta(NetworkParams(p.W, theta), SIG, ds)
+            _, _, H = model._features(SIG, p.W, ds.inputs)
+            norm = np.linalg.norm(theta)
+            tol = 1e-12 * (np.linalg.norm(H.T @ ds.labels) / len(H)
+                           + theta_spectrum(H)[0][-1] * norm)
+            assert norm <= radius * (1 + 1e-14)
+            if norm < radius * (1 - 1e-12):
+                assert np.linalg.norm(g) <= tol
+            else:
+                mu = -(g @ theta) / norm ** 2
+                assert mu >= -tol / norm
+                assert np.linalg.norm(g + mu * theta) <= tol
+
+    @pytest.mark.parametrize("radius", [1e-3, 1e3])
+    def test_zero_features(self, radius):
+        # tanh(0) = 0, so W = 0 gives H = 0: f is constant and theta* = 0
+        p = NetworkParams(np.zeros((3, 3)), np.ones(3))
+        theta = solve_theta_star(p, builtin_activation("tanh"),
+                                 make_realizable(3, 9, seed=1), radius)
+        assert theta.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestRunConfig:
