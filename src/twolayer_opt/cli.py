@@ -4,8 +4,9 @@ bound-verification suites, and plot-ready output emission.
 Subcommands: generate, train, diagnose, verify <suite>, plotdata.  Each
 (and each verify suite, SUITE_FLAGS) takes only the flags it reads (see
 build_parser); a train flag overrides the run config key it is named after,
-a dataset flag the recipe key in RECIPE_KEYS, and --activation the config's
-activation.  Every command given --config reads and checks all of it
+a dataset flag the recipe key in RECIPE_KEYS (in dataset.check_recipe's
+range, checked as it is parsed), and --activation the config's activation.
+Every command given --config reads and checks all of it
 (ExperimentSpec.from_dict), and a key that nothing reads is an error;
 generate and train write into its out_dir unless --out is given.
 Exit codes: 0 pass, 1 suite failure, 2 usage/config error (a count too
@@ -249,13 +250,13 @@ def cmd_diagnose(args) -> int:
         (out_path,) = files.output_paths(
             args.out, [f"{args.name or 'diagnose'}.json"], args.force)
 
-    w_rank = diagnostics.svd_rank(params.W, args.rank_tol)
-    coll = diagnostics.collection_rank(act, params.W, ds.inputs, args.rank_tol)
+    w_rank = diagnostics.svd_rank(params.W)
+    coll = diagnostics.collection_rank(act, params.W, ds.inputs)
     lips = diagnostics.lipschitz_estimates(params, act, ds)
-    cert = diagnostics.certify(params, act, ds, args.rank_tol)
+    cert = diagnostics.certify(params, act, ds)
     report = {
         "activation": act.name,
-        "rank_tol": args.rank_tol,
+        "rank_tol": diagnostics.RANK_TOL,
         "W_rank": w_rank.to_dict(),
         "collection_rank": coll.to_dict(),
         "lipschitz": lips.to_dict(),
@@ -370,12 +371,18 @@ def file_name(text: str) -> str:
     return text
 
 
-def noise_std(text: str) -> float:
-    """argparse type of --noise-std: a finite float >= 0."""
-    value = float(text)
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
+def recipe_value(key: str, kind: type):
+    """argparse type of the dataset flag of recipe key `key`: a `kind`
+    value in the range that dataset.check_recipe allows, else its message."""
+    def parse(text: str):
+        value = kind(text)
+        try:
+            ds_mod.check_recipe(**{key: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = kind.__name__   # argparse's "invalid int value" names it
+    return parse
 
 
 # every flag that several subcommands take, declared once
@@ -384,16 +391,11 @@ SHARED_FLAGS = {
     "--activation": dict(choices=ACTIVATION_NAMES,
                          help="activation name (default: config value or sigmoid)"),
     "--seed": dict(type=seed),
-    "--rank-tol": dict(type=float, default=diagnostics.DEFAULT_RANK_TOL),
     "--out": dict(help="output directory"),
     "--force": dict(action="store_true", help="overwrite existing outputs"),
     # the dataset recipe (RECIPE_KEYS)
-    "--d": dict(type=int),
-    "--n-samples": dict(type=int),
-    "--dist": dict(choices=ds_mod.DISTRIBUTIONS),
-    "--data-seed": dict(type=seed),
-    "--teacher-seed": dict(type=seed),
-    "--noise-std": dict(type=noise_std),
+    **{flag: dict(type=recipe_value(key, kind))
+       for key, (flag, kind, _) in RECIPE_KEYS.items()},
     # the verify suites' sizes (SUITE_FLAGS)
     "--seeds": dict(type=count, default=200, help="Monte-Carlo seed count"),
     "--trials": dict(type=count, default=25, help="trial count"),
@@ -405,9 +407,9 @@ DATASET_FLAGS = tuple(flag for flag, _, _ in RECIPE_KEYS.values())
 # the flags each verify suite reads, in the order suite_<name> takes them
 # after (activation, seed)
 SUITE_FLAGS = {
-    "gradcheck": ("--instances",), "rank": ("--trials", "--rank-tol"),
+    "gradcheck": ("--instances",), "rank": ("--trials",),
     "lipschitz": ("--trials",), "theorem1": ("--seeds",),
-    "theorem2": ("--seeds",), "certify": ("--rank-tol",),
+    "theorem2": ("--seeds",), "certify": (),
 }
 
 
@@ -455,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--theta-scale", dest="init_theta_scale", type=float)
 
     di = command("diagnose", cmd_diagnose, "rank/Lipschitz/certificate report",
-                 SPEC_FLAGS + ("--seed", "--rank-tol") + OUT_FLAGS)
+                 SPEC_FLAGS + ("--seed",) + OUT_FLAGS)
     di.add_argument("--data", required=True)
     di.add_argument("--params", help="NetworkParams CSV (see model.save_params)")
     di.add_argument("--name", type=file_name)

@@ -8,7 +8,7 @@ the smallest column singular value of D is positive,
 
 A small gradient plus a well-conditioned D therefore pins the residual (and
 the loss) near zero.  sigma_max(D) serves only the verdict's rank test
-sigma_min <= rank_tol * sigma_max, so column_sigma_extremes computes only
+sigma_min <= RANK_TOL * sigma_max, so column_sigma_extremes computes only
 what that test needs: a wide D (n*d < N, where the certificate cannot
 exist) has sigma_min(D) = 0 by shape; a square D with at least
 INVERSE_MIN_COLUMNS columns is factored once by QR and gets sigma_min by
@@ -41,7 +41,8 @@ from .model import (NetworkParams, StationaritySystem, _features, grad_W,
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
 
-DEFAULT_RANK_TOL = 1e-10
+# the one rank tolerance: rank-deficient means sigma_min <= RANK_TOL sigma_max
+RANK_TOL = 1e-10
 # column_sigma_extremes' inverse route: square D with at least
 # INVERSE_MIN_COLUMNS columns (below it the SVD is as fast), a start block
 # of INVERSE_BLOCK columns drawn from seed INVERSE_SEED, solves with D's
@@ -101,27 +102,24 @@ class GlobalCertificate:
         return asdict(self)
 
 
-def svd_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    """Numerical rank of M: count of singular values above rank_tol * sigma_max."""
+def svd_rank(M) -> RankReport:
+    """Numerical rank of M: count of singular values above RANK_TOL * sigma_max."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     if not np.isfinite(M).all():
         raise NumericsError("non-finite entries in matrix")
     svals = np.linalg.svd(M, compute_uv=False)
     sigma_max = float(svals[0]) if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > rank_tol * sigma_max)) if sigma_max > 0 else 0
+    rank = int(np.count_nonzero(svals > RANK_TOL * sigma_max)) if sigma_max > 0 else 0
     return RankReport(
         matrix_dims=M.shape,
         singular_values=svals,
         numerical_rank=rank,
         sigma_min=float(svals[-1]) if svals.size else 0.0,
-        rank_tol=rank_tol,
+        rank_tol=RANK_TOL,
     )
 
 
-def collection_rank(a: ActivationFunction, W, inputs,
-                    rank_tol: float = DEFAULT_RANK_TOL) -> RankReport:
+def collection_rank(a: ActivationFunction, W, inputs) -> RankReport:
     """Rank report for the collection {h(W u_i) u_i^T}: the (d^2, N) matrix
     whose column i is vect(h(W u_i) u_i^T), for a square W."""
     inputs = np.asarray(inputs, dtype=float)
@@ -133,7 +131,7 @@ def collection_rank(a: ActivationFunction, W, inputs,
         raise ShapeError(
             f"W must be ({d}, {d}) for {d}-dimensional inputs, got {W.shape}")
     U, _, H = _features(a, W, inputs)
-    return svd_rank(khatri_rao(H, U), rank_tol)
+    return svd_rank(khatri_rao(H, U))
 
 
 def theta_spectrum(features: np.ndarray):
@@ -265,7 +263,7 @@ def _cholesky_qr(X: np.ndarray):
     return Q, R, scale
 
 
-def _inverse_sigma_min(M: np.ndarray, rank_tol: float):
+def _inverse_sigma_min(M: np.ndarray):
     """sigma_min of a square M by block inverse iteration, or None when the
     SVD has to decide.
 
@@ -283,8 +281,8 @@ def _inverse_sigma_min(M: np.ndarray, rank_tol: float):
       * the Ritz values contract: the error left after the last solve,
         extrapolated geometrically from the last two changes, is <= tol
         (when it is not, the next count of solves is tried);
-      * it lies above the guard band: sigma_min - tol > rank_tol ||M||_F,
-        so that sigma_min > rank_tol * sigma_max for certain.
+      * it lies above the guard band: sigma_min - tol > RANK_TOL ||M||_F,
+        so that sigma_min > RANK_TOL * sigma_max for certain.
     An exactly singular diagonal block of R, a non-finite solve or a block
     whose Cholesky factor does not exist returns None as well."""
     n = M.shape[1]
@@ -311,11 +309,11 @@ def _inverse_sigma_min(M: np.ndarray, rank_tol: float):
             sigma_min = float(np.linalg.svd(M @ Q, compute_uv=False)[-1])
             step, last = ritz[-3] - ritz[-2], ritz[-2] - sigma_min
             if step > last and last * last <= tol * (step - last):
-                return sigma_min if sigma_min - tol > rank_tol * frob else None
+                return sigma_min if sigma_min - tol > RANK_TOL * frob else None
     return None
 
 
-def column_sigma_extremes(M: np.ndarray, *, rank_tol: float = DEFAULT_RANK_TOL):
+def column_sigma_extremes(M: np.ndarray):
     """(sigma_min, sigma_max) with sigma_min the smallest *column* singular
     value of M; sigma_max is None when no SVD ran.
 
@@ -326,7 +324,7 @@ def column_sigma_extremes(M: np.ndarray, *, rank_tol: float = DEFAULT_RANK_TOL):
       * square M with at least INVERSE_MIN_COLUMNS columns (the measured
         crossover) and entries of magnitude in (1e-100, 1e100):
         sigma_min by _inverse_sigma_min's block inverse iteration, which
-        also decides that sigma_min > rank_tol * sigma_max.  When it does
+        also decides that sigma_min > RANK_TOL * sigma_max.  When it does
         not accept its value, the SVD decides.
       * every other M: the full SVD, which alone gives sigma_max.
     Non-finite entries raise NumericsError on every route."""
@@ -340,21 +338,18 @@ def column_sigma_extremes(M: np.ndarray, *, rank_tol: float = DEFAULT_RANK_TOL):
     if m < n:
         return 0.0, None
     if m == n >= INVERSE_MIN_COLUMNS and 1e-100 < max(-lo, hi) < 1e100:
-        sigma_min = _inverse_sigma_min(M, rank_tol)
+        sigma_min = _inverse_sigma_min(M)
         if sigma_min is not None:
             return sigma_min, None
     svals = np.linalg.svd(M, compute_uv=False)
     return float(svals[-1]), float(svals[0])
 
 
-def certificate(system: StationaritySystem, grad: np.ndarray,
-                rank_tol: float = DEFAULT_RANK_TOL) -> GlobalCertificate:
+def certificate(system: StationaritySystem, grad: np.ndarray) -> GlobalCertificate:
     """The first-order => global certificate of a point, from its
     stationarity system (D, s) and its W-gradient grad_W f."""
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     grad_norm = float(np.linalg.norm(grad))
-    sigma_min, sigma_max = column_sigma_extremes(system.D, rank_tol=rank_tol)
+    sigma_min, sigma_max = column_sigma_extremes(system.D)
     m, n = system.D.shape
     N = len(system.s)
     bound = N * grad_norm / sigma_min if sigma_min > 0.0 else float("inf")
@@ -363,7 +358,7 @@ def certificate(system: StationaritySystem, grad: np.ndarray,
         rank_deficient = sigma_min == 0.0
     else:
         spectrum = "svd"
-        rank_deficient = sigma_min <= rank_tol * sigma_max or sigma_max == 0.0
+        rank_deficient = sigma_min <= RANK_TOL * sigma_max or sigma_max == 0.0
     if rank_deficient:
         verdict = "rank_deficient"
     elif math.isfinite(bound):
@@ -378,20 +373,19 @@ def certificate(system: StationaritySystem, grad: np.ndarray,
         certified_bound=float(bound),
         loss_value=objective(system.s),
         verdict=verdict,
-        rank_tol=rank_tol,
+        rank_tol=RANK_TOL,
         spectrum=spectrum,
     )
 
 
-def certify(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
-            rank_tol: float = DEFAULT_RANK_TOL) -> GlobalCertificate:
+def certify(p: NetworkParams, a: ActivationFunction,
+            ds: "Dataset") -> GlobalCertificate:
     """Evaluate the first-order => global certificate at (W, theta)."""
-    return certificate(stationarity_system(p, a, ds), grad_W(p, a, ds), rank_tol)
+    return certificate(stationarity_system(p, a, ds), grad_W(p, a, ds))
 
 
 def perturbation_rank_trial(w_prime, z, a: ActivationFunction, inputs,
-                            trials: int, seed: int = 0,
-                            rank_tol: float = DEFAULT_RANK_TOL) -> float:
+                            trials: int, seed: int = 0) -> float:
     """Fraction of random diagonal perturbations W = W' + diag(v) Z (with
     v ~ N(0, I)) whose feature collection is full rank, among the trials
     where W itself is numerically nonsingular."""
@@ -411,10 +405,10 @@ def perturbation_rank_trial(w_prime, z, a: ActivationFunction, inputs,
     for _ in range(trials):
         v = rng.standard_normal(d)
         W = w_prime + v[:, None] * z
-        if not svd_rank(W, rank_tol).is_full_rank():
+        if not svd_rank(W).is_full_rank():
             continue
         nonsingular += 1
-        if collection_rank(a, W, inputs, rank_tol).is_full_rank():
+        if collection_rank(a, W, inputs).is_full_rank():
             full += 1
     if nonsingular == 0:
         raise NumericsError("every perturbed W came out singular")

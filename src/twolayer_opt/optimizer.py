@@ -23,7 +23,7 @@ I - beta G is the diagonal 1 - beta lam: each costs O(n) and touches none
 of the N samples, and a phase costs the same whether the ball binds at its
 first step or never.  The noise is drawn INNER_BLOCK steps at a time, so a
 phase's memory does not grow with n_inner.  The same eigenbasis gives the
-subproblem's exact minimizer over the ball (solve_theta_star).
+subproblem's exact (least-norm) minimizer over the ball (solve_theta_star).
 
 Step sizes: a beta or gamma left at None is derived; one that is given is
 used, after a check of its bound.
@@ -334,10 +334,12 @@ def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     in theta_spectrum's eigenbasis G = Q diag(lam) Q^T: theta* = Q y(mu),
     y(mu) = c / (lam + mu) with c = Q^T H^T v / N (0 where c_i = 0), for the
     least mu >= m = max(0, -lam_min) that puts y(mu) in the ball: m, or the
-    root of ||y(mu)|| = radius bisected on [m, m + ||c|| / radius]."""
+    root of ||y(mu)|| = radius bisected on [m, m + ||c|| / radius].  c lies
+    in range(G), so it is 0 where lam_i <= n eps lam_max: least-norm theta*."""
     _, _, H = _features(a, p.W, ds.inputs)
     lam, Q = theta_spectrum(H)
     c = (H.T @ ds.labels / len(ds.labels)) @ Q
+    c[lam <= len(lam) * np.finfo(float).eps * lam[-1]] = 0.0
 
     @np.errstate(divide="ignore", over="ignore")   # c_i / 0 is an inf entry
     def y_of(mu):

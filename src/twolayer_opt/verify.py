@@ -154,8 +154,7 @@ def theorem2(act, ds, first_seed, seeds, n_outer) -> tuple:
     l_theta_analytic = u * u * ds.dim
     mins, bounds = [], []
     for s in range(seeds):
-        cfg = RunConfig(n_outer=n_outer, n_inner=1, R=R, theorem2_preset=True,
-                        seed=first_seed + s)
+        cfg = RunConfig(n_outer=n_outer, R=R, theorem2_preset=True, seed=first_seed + s)
         _, rec = optimizer.run(act, ds, cfg, certify_rows=False)
         mins.append(float(np.min(rec.grad_norm[:n_outer] ** 2)))
         bounds.append(2 * rec.derived["L_ball"] * (
@@ -171,7 +170,7 @@ def suite_gradcheck(activation: str, seed: int, instances: int) -> list:
     return [_check("max_fd_relative_error", worst, "<=", 1e-6)]
 
 
-def suite_rank(activation: str, seed: int, seeds: int, rank_tol: float) -> list:
+def suite_rank(activation: str, seed: int, trials: int) -> list:
     """Full rank on every trial for the paper's good class; rank at most
     d(d+1)/2 for a linear h (constant h', h(0) = 0); else a ConfigError."""
     act = builtin_activation(activation)
@@ -182,25 +181,25 @@ def suite_rank(activation: str, seed: int, seeds: int, rank_tol: float) -> list:
     for d in (2, 3):
         N = d * d
         full = max_rank = 0
-        for s in range(seeds):
+        for s in range(trials):
             rng = np.random.default_rng((seed + 1) * 10_000 + 97 * d + s)
             inputs = rng.uniform(-1.0, 1.0, size=(N, d))
             W = rng.normal(size=(d, d))
-            rep = diagnostics.collection_rank(act, W, inputs, rank_tol)
+            rep = diagnostics.collection_rank(act, W, inputs)
             max_rank = max(max_rank, rep.numerical_rank)
             full += rep.is_full_rank()
         if act.claimed_c1:
-            checks.append(_check(f"full_rank_fraction_d{d}", full / seeds, ">=", 1.0))
+            checks.append(_check(f"full_rank_fraction_d{d}", full / trials, ">=", 1.0))
         else:   # negative control: u u^T spans only the symmetric matrices
             checks.append(_check(f"control_max_rank_d{d}", max_rank, "<=",
                                  d * (d + 1) // 2))
     return checks
 
 
-def suite_lipschitz(activation: str, seed: int, samples: int) -> list:
+def suite_lipschitz(activation: str, seed: int, trials: int) -> list:
     acts = [builtin_activation(activation)]
-    viol_w, _ = lipschitz_W(acts, np.random.default_rng(seed), samples)
-    viol_t, viol_order = lipschitz_theta(acts, np.random.default_rng(seed), samples)
+    viol_w, _ = lipschitz_W(acts, np.random.default_rng(seed), trials)
+    viol_t, viol_order = lipschitz_theta(acts, np.random.default_rng(seed), trials)
     return [_check("grad_W_lipschitz_violations", viol_w, "==", 0),
             _check("grad_theta_lipschitz_violations", viol_t, "==", 0),
             _check("l_theta_ordering_violations", viol_order, "==", 0)]
@@ -222,12 +221,12 @@ def suite_theorem2(activation: str, seed: int, seeds: int) -> list:
                    "<=", 1.0)]
 
 
-def suite_certify(activation: str, seed: int, rank_tol: float) -> list:
+def suite_certify(activation: str, seed: int) -> list:
     act = builtin_activation(activation)
     ds = ds_mod.make_realizable(3, 9, seed=seed + 5, activation=activation)
     cfg = RunConfig(n_outer=150, n_inner=20, R=R, sigma=0.0, seed=seed)
     params, _ = optimizer.run(act, ds, cfg, certify_rows=False)
-    cert = diagnostics.certify(params, act, ds, rank_tol)
+    cert = diagnostics.certify(params, act, ds)
     ratio = (cert.residual_norm / cert.certified_bound
              if np.isfinite(cert.certified_bound) and cert.certified_bound > 0
              else float("inf"))

@@ -14,9 +14,9 @@ def fitted_labels(params, act, inputs):
     return H @ params.theta
 
 
-def svd_extremes(M, *, rank_tol=None):
-    """Reference (sigma_min, sigma_max) from the full SVD; rank_tol is
-    unused, so that it can stand in for diagnostics.column_sigma_extremes."""
+def svd_extremes(M):
+    """Reference (sigma_min, sigma_max) from the full SVD, a stand-in for
+    diagnostics.column_sigma_extremes."""
     svals = np.linalg.svd(M, compute_uv=False)
     return (float(svals[-1]) if M.shape[0] >= M.shape[1] else 0.0,
             float(svals[0]))

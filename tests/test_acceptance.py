@@ -55,7 +55,7 @@ def test_criterion_03_collection_full_rank():
                 W = rng.normal(size=(d, d))
                 for w_choice in (np.eye(d), W):
                     trials += 1
-                    rep = collection_rank(act, w_choice, inputs, rank_tol=1e-10)
+                    rep = collection_rank(act, w_choice, inputs)
                     failures += not rep.is_full_rank()
 
     control_ok = True
@@ -63,7 +63,7 @@ def test_criterion_03_collection_full_rank():
     for s in range(100):
         rng = np.random.default_rng(31_000 + s)
         rep = collection_rank(lin, rng.normal(size=(2, 2)),
-                              rng.uniform(-1, 1, size=(4, 2)), rank_tol=1e-10)
+                              rng.uniform(-1, 1, size=(4, 2)))
         control_ok &= rep.numerical_rank <= 3
 
     report(3, "feature collections full rank (with linear control)",

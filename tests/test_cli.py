@@ -149,8 +149,8 @@ class TestTrain:
         rows = []   # (column_sigma_extremes, SVD reference) per row
         program = diagnostics.column_sigma_extremes
 
-        def checked(D, **kwargs):
-            rows.append((program(D, **kwargs), svd_extremes(D)))
+        def checked(D):
+            rows.append((program(D), svd_extremes(D)))
             return rows[-1][0]
 
         monkeypatch.setattr(diagnostics, "column_sigma_extremes", checked)
@@ -439,6 +439,23 @@ class TestDiagnose:
             err = capsys.readouterr().err
             assert "tanh" in err and "sigmoid" in err and err.count("\n") == 1
 
+    def test_repeated_sample_rank_deficient(self, tmp_path, capsys):
+        # a repeated sample repeats a column of the square D (d = 2, N = 4),
+        # so sigma_min(D) is rounding-level: no flag can certify it
+        ds = dataset.make_realizable(2, 4, seed=1)
+        inputs, labels = ds.inputs.copy(), ds.labels.copy()
+        inputs[-1], labels[-1] = inputs[0], labels[0]
+        dataset.save(dataset.Dataset(inputs, labels, ds.provenance),
+                     tmp_path / "repeated.csv")
+        argv = ["diagnose", "--data", str(tmp_path / "repeated.csv")]
+        assert run_cli(*argv, "--out", str(tmp_path / "diag")) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-2].split() == ["verdict", "rank_deficient"]
+        report = json.loads((tmp_path / "diag" / "diagnose.json").read_text())
+        assert report["rank_tol"] == report["certificate"]["rank_tol"] == 1e-10
+        assert report["collection_rank"]["numerical_rank"] == 3
+        assert run_cli(*argv, "--rank-tol", "1e-300") == 2
+        assert "--rank-tol" in capsys.readouterr().err
 
     def test_non_finite_theta_hessian(self, tmp_path, capsys):
         # the train case above, as a params file: L_theta is not reported
@@ -721,6 +738,10 @@ def test_readme_trajectory_header():
     ["verify", "lipschitz", "--rank-tol", "0.5"],
     ["verify", "rank", "--seeds", "5"],
     ["verify", "theorem1", "--instances", "2"],
+    # the rank tolerance is a constant, not a flag
+    ["diagnose", "--data", "PATH_DATA", "--rank-tol", "1e-300"],
+    ["verify", "rank", "--rank-tol", "1e-300"],
+    ["verify", "certify", "--rank-tol", "1e-300"],
     # a seed below 0, a label noise that is negative or not a number
     ["train", "--d", "3", "--n-samples", "9", "--seed", "-1"],
     ["generate", "--d", "3", "--n-samples", "9", "--data-seed", "-1"],
@@ -728,6 +749,8 @@ def test_readme_trajectory_header():
     ["verify", "certify", "--seed", "-1"],
     ["generate", "--d", "3", "--n-samples", "9", "--noise-std", "-1"],
     ["generate", "--d", "3", "--n-samples", "9", "--noise-std", "nan"],
+    # a recipe flag out of dataset.check_recipe's range, at parse time
+    ["generate", "--n-samples", "9", "--d", "0"],
     # a name that is not one file name inside --out
     ["train", "--d", "3", "--n-samples", "9", "--n-outer", "2", "--out", "r5",
      "--name", "../x"],
@@ -744,9 +767,10 @@ def test_readme_trajectory_header():
         "certify_seeds", "certify_trials", "certify_instances", "gradcheck_seeds",
         "gradcheck_rank_tol", "theorem2_trials", "theorem2_rank_tol",
         "lipschitz_rank_tol", "rank_seeds", "theorem1_instances",
+        "diagnose_rank_tol", "rank_rank_tol", "certify_rank_tol",
         "train_seed_negative", "generate_data_seed_negative",
         "generate_teacher_seed_negative", "certify_seed_negative",
-        "generate_noise_std_negative", "generate_noise_std_nan",
+        "generate_noise_std_negative", "generate_noise_std_nan", "generate_d_0",
         "train_name_parent", "generate_name_empty", "generate_name_dot",
         "generate_name_subdirectory", "diagnose_name_dotdot"])
 def test_parser_rejects(tmp_path, tmp_path_factory, monkeypatch, capsys, argv):

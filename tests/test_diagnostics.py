@@ -37,10 +37,6 @@ class TestSvdRank:
         with pytest.raises(NumericsError):
             svd_rank(np.array([[1.0, np.inf]]))
 
-    def test_rank_tol_domain(self):
-        with pytest.raises(ValueError):
-            svd_rank(np.eye(2), rank_tol=2.0)
-
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (3, 5),
                   elements=st.floats(-10, 10, allow_nan=False)))
@@ -147,15 +143,15 @@ def square_khatri_rao(rng, n, d):
                             rng.uniform(-1.0, 1.0, size=(N, d)))
 
 
-def certify_D(D, rank_tol=diagnostics.DEFAULT_RANK_TOL):
+def certify_D(D):
     """The certificate of D with a unit residual and gradient."""
     system = model.StationaritySystem(D=D, s=np.ones(D.shape[1]))
-    return diagnostics.certificate(system, np.ones(1), rank_tol)
+    return diagnostics.certificate(system, np.ones(1))
 
 
-def svd_verdict(D, rank_tol=diagnostics.DEFAULT_RANK_TOL):
+def svd_verdict(D):
     sigma_min, sigma_max = svd_extremes(D)
-    return ("rank_deficient" if sigma_min <= rank_tol * sigma_max
+    return ("rank_deficient" if sigma_min <= diagnostics.RANK_TOL * sigma_max
             else "certified_near_global")
 
 
@@ -225,11 +221,11 @@ class TestColumnSigmaExtremes:
         assert cert.verdict == "certified_near_global"
 
     @staticmethod
-    def check_svd_fallback(D, rank_tol=diagnostics.DEFAULT_RANK_TOL):
-        cert = certify_D(D, rank_tol)
+    def check_svd_fallback(D):
+        cert = certify_D(D)
         assert cert.spectrum == "svd"
         assert (cert.sigma_min_D, cert.sigma_max_D) == svd_extremes(D)
-        assert cert.verdict == svd_verdict(D, rank_tol)
+        assert cert.verdict == svd_verdict(D)
         return cert
 
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
@@ -257,15 +253,20 @@ class TestColumnSigmaExtremes:
         cert = self.check_svd_fallback(system.D)
         assert cert.verdict == "rank_deficient"
 
-    def test_fallback_guard_band(self, rng):
-        # rank_tol sigma_max < sigma_min <= rank_tol ||D||_F: the SVD decides
-        # (full rank), not the inverse route
-        D = square_khatri_rao(rng, 23, 23)
+    def test_fallback_guard_band(self, rng, monkeypatch):
+        # RANK_TOL sigma_max < sigma_min <= RANK_TOL ||D||_F: the SVD decides
+        # (full rank), not the inverse route.  Singular values 1.5e-10, then
+        # 1e-9 ... 1 in geometric steps: the Ritz values converge, so the
+        # guard band alone sends D to the SVD
+        Q = np.linalg.qr(rng.normal(size=(512, 512)))[0]
+        D = Q * np.concatenate([[1.5e-10], np.geomspace(1e-9, 1.0, 511)])
         sigma_min, sigma_max = svd_extremes(D)
-        rank_tol = sigma_min / np.sqrt(sigma_max * np.linalg.norm(D))
-        assert rank_tol * sigma_max < sigma_min <= rank_tol * np.linalg.norm(D)
-        cert = self.check_svd_fallback(D, rank_tol)
+        tol = diagnostics.RANK_TOL
+        assert tol * sigma_max < sigma_min <= tol * np.linalg.norm(D)
+        cert = self.check_svd_fallback(D)
         assert cert.verdict == "certified_near_global"
+        monkeypatch.setattr(diagnostics, "RANK_TOL", 1e-12)
+        assert diagnostics.column_sigma_extremes(D)[1] is None
 
     def test_fallback_ritz_not_converged(self, rng):
         # singular values 1 ... 1.1 in equal steps: 32 columns cannot

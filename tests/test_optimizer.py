@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (fitted_labels, random_instance, reference_inner_sgd,
-                      svd_extremes)
+                      rel_err, svd_extremes)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -395,6 +395,23 @@ class TestSolveThetaStar:
         theta_star = solve_theta_star(p, SIG, ds, radius)
         np.testing.assert_allclose(theta_star, theta_ls, atol=1e-9)
 
+    def test_minimum_norm_when_singular(self, rng):
+        # N < n makes G singular, and theta* is then the minimiser of least
+        # norm: no component in G's null space, where eigh leaves
+        # rounding-level eigenvalues and c rounding-level entries
+        checked = 0
+        for _ in range(200):
+            d = int(rng.integers(2, 6))
+            p, ds = random_instance(rng, d=d, n=d, N=int(rng.integers(1, d)))
+            _, _, H = model._features(SIG, p.W, ds.inputs)
+            theta_ls = np.linalg.lstsq(H, ds.labels, rcond=None)[0]
+            if np.linalg.norm(theta_ls) >= 1e3:
+                continue
+            checked += 1
+            theta = solve_theta_star(p, SIG, ds, 1e3)
+            assert rel_err(theta, theta_ls) <= 1e-10
+        assert checked >= 150
+
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("singular", [False, True], ids=["G", "N_below_n"])
     def test_kkt_conditions(self, rng, radius, singular):
@@ -503,9 +520,9 @@ class TestRun:
         references = []
         program = diagnostics.column_sigma_extremes
 
-        def checked(D, **kwargs):
+        def checked(D):
             references.append(svd_extremes(D))
-            return program(D, **kwargs)
+            return program(D)
 
         monkeypatch.setattr(diagnostics, "column_sigma_extremes", checked)
         cfg = RunConfig(n_outer=2, n_inner=5, sigma=0.2, seed=1)
