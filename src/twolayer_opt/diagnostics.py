@@ -2,26 +2,19 @@
 constant estimators, and the first-order => global optimality certificate.
 
 The certificate logic is elementary: vect(grad_W f) = -(1/N) D s, so whenever
-the smallest column singular value of D is positive,
+D has full column rank,
 
     ||s||_2 <= N ||grad_W f||_F / sigma_min(D).
 
 A small gradient plus a well-conditioned D therefore pins the residual (and
-the loss) near zero.  sigma_max(D) serves only the verdict's rank test
-sigma_min <= RANK_TOL * sigma_max, so column_sigma_extremes computes only
-what that test needs: a wide D (n*d < N, where the certificate cannot
-exist) has sigma_min(D) = 0 by shape; a square D with at least
-INVERSE_MIN_COLUMNS columns is factored once by QR and gets sigma_min by
-block inverse iteration on the triangular factor, by substitution, with
-the block made orthonormal by shifted CholeskyQR3 (Fukaya et al., SIAM J.
-Sci. Comput. 42, 2020), accepted only when it has converged and D is of
-full rank for certain; every other D takes the SVD.  The certificate's
-`spectrum` names the route.
-certificate is the one place this arithmetic is done: certify applies it at
-a point, and optimizer.run at every iterate, from the stationarity system
-and gradient it already holds.  "Full rank" statements about random feature
-collections are probed by Monte-Carlo at an SVD tolerance; they admit no
-finite certificate.
+the loss) near zero.  column_sigma_extremes computes sigma_min(D) on one of
+three routes, shape, inverse or svd, and the route decides whether D has
+full rank; the certificate's `spectrum` names it.  certificate is the one
+place this arithmetic is done: certify applies it at a point, and
+optimizer.run at every iterate, from the stationarity system and gradient
+it already holds.  "Full rank" statements about random feature collections
+are probed by Monte-Carlo at an SVD tolerance; they admit no finite
+certificate.
 """
 
 from __future__ import annotations
@@ -102,14 +95,35 @@ class GlobalCertificate:
         return asdict(self)
 
 
+class SigmaExtremes(tuple):
+    """column_sigma_extremes' pair (sigma_min, sigma_max), with the route
+    that computed it (`spectrum`) and that route's rank decision (`full_rank`)."""
+
+    def __new__(cls, sigma_min, sigma_max, spectrum: str, full_rank: bool):
+        pair = super().__new__(cls, (sigma_min, sigma_max))
+        pair.spectrum, pair.full_rank = spectrum, full_rank
+        return pair
+
+
+def l2_norm(x: np.ndarray) -> float:
+    """||x||_2 of x's entries, sqrt(x . x): np.linalg.norm's arithmetic
+    without its overhead."""
+    flat = x.ravel()
+    return math.sqrt(flat.dot(flat))
+
+
+def _above_rank_tol(sigma, sigma_max):
+    """The SVD's rank rule: sigma counts when sigma > RANK_TOL * sigma_max."""
+    return sigma > RANK_TOL * sigma_max
+
+
 def svd_rank(M) -> RankReport:
     """Numerical rank of M: count of singular values above RANK_TOL * sigma_max."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if not np.isfinite(M).all():
         raise NumericsError("non-finite entries in matrix")
     svals = np.linalg.svd(M, compute_uv=False)
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > RANK_TOL * sigma_max)) if sigma_max > 0 else 0
+    rank = int(np.count_nonzero(_above_rank_tol(svals, svals.max(initial=0.0))))
     return RankReport(
         matrix_dims=M.shape,
         singular_values=svals,
@@ -313,68 +327,56 @@ def _inverse_sigma_min(M: np.ndarray):
     return None
 
 
-def column_sigma_extremes(M: np.ndarray):
-    """(sigma_min, sigma_max) with sigma_min the smallest *column* singular
-    value of M; sigma_max is None when no SVD ran.
-
-    Each shape takes the route that the certificate's verdict needs:
-      * wide M (fewer rows than columns): column rank is below the column
-        count, so sigma_min = 0 by shape, with no factorization at all.
-        The certificate exists only when N <= n*d.
-      * square M with at least INVERSE_MIN_COLUMNS columns (the measured
-        crossover) and entries of magnitude in (1e-100, 1e100):
-        sigma_min by _inverse_sigma_min's block inverse iteration, which
-        also decides that sigma_min > RANK_TOL * sigma_max.  When it does
-        not accept its value, the SVD decides.
-      * every other M: the full SVD, which alone gives sigma_max.
+def column_sigma_extremes(M: np.ndarray) -> SigmaExtremes:
+    """(sigma_min, sigma_max) of M, sigma_min its smallest *column* singular
+    value and sigma_max None when no SVD ran, with the route that computed
+    them and its decision that M has full column rank (SigmaExtremes):
+      * shape, for a wide M: rank-deficient by shape, sigma_min = 0, with
+        no factorization.  The certificate exists only when N <= n*d.
+      * inverse, for a square M with at least INVERSE_MIN_COLUMNS columns
+        (the measured crossover) and entries of magnitude in (1e-100,
+        1e100): _inverse_sigma_min's block inverse iteration, which accepts
+        a value only when M has full rank for certain; else the SVD decides.
+      * svd, for every other M: the full SVD, which alone gives sigma_max;
+        full rank when sigma_min > RANK_TOL * sigma_max.
     Non-finite entries raise NumericsError on every route."""
     M = np.asarray(M, dtype=float)
     m, n = M.shape
-    if M.size == 0:
-        return 0.0, (None if m < n else 0.0)
     lo, hi = float(M.min()), float(M.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericsError("non-finite entries in D")
     if m < n:
-        return 0.0, None
+        return SigmaExtremes(0.0, None, "shape", False)
     if m == n >= INVERSE_MIN_COLUMNS and 1e-100 < max(-lo, hi) < 1e100:
         sigma_min = _inverse_sigma_min(M)
         if sigma_min is not None:
-            return sigma_min, None
+            return SigmaExtremes(sigma_min, None, "inverse", True)
     svals = np.linalg.svd(M, compute_uv=False)
-    return float(svals[-1]), float(svals[0])
+    sigma_min, sigma_max = float(svals[-1]), float(svals[0])
+    return SigmaExtremes(sigma_min, sigma_max, "svd",
+                         _above_rank_tol(sigma_min, sigma_max))
 
 
 def certificate(system: StationaritySystem, grad: np.ndarray) -> GlobalCertificate:
     """The first-order => global certificate of a point, from its
-    stationarity system (D, s) and its W-gradient grad_W f."""
-    grad_norm = float(np.linalg.norm(grad))
-    sigma_min, sigma_max = column_sigma_extremes(system.D)
-    m, n = system.D.shape
-    N = len(system.s)
-    bound = N * grad_norm / sigma_min if sigma_min > 0.0 else float("inf")
-    if sigma_max is None:   # the shape or the inverse route decided the rank
-        spectrum = "shape" if m < n else "inverse"
-        rank_deficient = sigma_min == 0.0
-    else:
-        spectrum = "svd"
-        rank_deficient = sigma_min <= RANK_TOL * sigma_max or sigma_max == 0.0
-    if rank_deficient:
-        verdict = "rank_deficient"
-    elif math.isfinite(bound):
-        verdict = "certified_near_global"
-    else:
-        verdict = "inconclusive"
+    stationarity system (D, s) and its W-gradient grad_W f.  A full-rank D
+    whose bound overflows is inconclusive."""
+    grad_norm = l2_norm(grad)
+    sigma_min, sigma_max = extremes = column_sigma_extremes(system.D)
+    bound = len(system.s) * grad_norm / sigma_min if sigma_min > 0.0 else math.inf
+    verdict = ("rank_deficient" if not extremes.full_rank
+               else "certified_near_global" if math.isfinite(bound)
+               else "inconclusive")
     return GlobalCertificate(
         grad_norm=grad_norm,
         sigma_min_D=sigma_min,
         sigma_max_D=sigma_max,
-        residual_norm=float(np.linalg.norm(system.s)),
-        certified_bound=float(bound),
+        residual_norm=l2_norm(system.s),
+        certified_bound=bound,
         loss_value=objective(system.s),
         verdict=verdict,
         rank_tol=RANK_TOL,
-        spectrum=spectrum,
+        spectrum=extremes.spectrum,
     )
 
 

@@ -55,8 +55,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .activations import ActivationFunction
-from .diagnostics import (certificate, lipschitz_ball_bound, svd_rank,
-                          theta_spectrum)
+from .diagnostics import (certificate, l2_norm, lipschitz_ball_bound,
+                          svd_rank, theta_spectrum)
 from .errors import ConfigError, NumericsError, ShapeError
 from .files import check_keys, json_field
 from .model import (NetworkParams, _features, grad_W, loss, objective,
@@ -192,7 +192,7 @@ CERTIFICATE_FIELDS = ("f", "grad_norm", "sigma_min_w", "sigma_min_d",
 
 def project_ball(z: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of z onto {x : ||x||_2 <= radius}."""
-    norm = math.sqrt(z.dot(z))   # np.linalg.norm's own arithmetic, less overhead
+    norm = l2_norm(z)
     if norm <= radius:
         return z
     return z * (radius / norm)
@@ -364,8 +364,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
     a row k < n_outer computes only grad_W, which the W step needs: it
     holds k, grad_norm and inner_steps, and NaN in the other
     CERTIFICATE_FIELDS, and derived["spectrum"] counts the certified rows
-    alone.  The iterates,
-    grad_norm and inner_steps are the same bits either way.
+    alone.  The iterates, grad_norm and inner_steps are the same bits either way.
     """
     rng = np.random.default_rng(cfg.seed)
 
@@ -397,9 +396,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
                        sigma_min_d=cert.sigma_min_D,
                        resid_norm=cert.residual_norm)
         else:   # grad_norm as certificate computes it, NaN for the rest
-            row = dict.fromkeys(CERTIFICATE_FIELDS, math.nan)
-            flat = g.ravel()   # np.linalg.norm's own arithmetic, less overhead
-            row["grad_norm"] = math.sqrt(flat.dot(flat))
+            row = dict(dict.fromkeys(CERTIFICATE_FIELDS, math.nan), grad_norm=l2_norm(g))
         if not all(math.isfinite(row[name]) for name in
                    (CERTIFICATE_FIELDS if certified else ("grad_norm",))):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twolayer_opt import Dataset, NetworkParams, Provenance, model, optimizer
+from twolayer_opt import (Dataset, NetworkParams, Provenance, diagnostics,
+                          model, optimizer)
 from twolayer_opt.diagnostics import theta_spectrum
 from twolayer_opt.verify import rel_err  # noqa: F401  (re-exported to the tests)
 
@@ -15,11 +16,20 @@ def fitted_labels(params, act, inputs):
 
 
 def svd_extremes(M):
-    """Reference (sigma_min, sigma_max) from the full SVD, a stand-in for
-    diagnostics.column_sigma_extremes."""
+    """Reference (sigma_min, sigma_max) from the full SVD, with the
+    smallest *column* singular value: 0 for a wide M."""
     svals = np.linalg.svd(M, compute_uv=False)
     return (float(svals[-1]) if M.shape[0] >= M.shape[1] else 0.0,
             float(svals[0]))
+
+
+def svd_spectrum(M):
+    """svd_extremes with the SVD's rank decision, sigma_min > RANK_TOL *
+    sigma_max: a stand-in for diagnostics.column_sigma_extremes that takes
+    the svd route for every M."""
+    sigma_min, sigma_max = svd_extremes(M)
+    return diagnostics.SigmaExtremes(
+        sigma_min, sigma_max, "svd", sigma_min > diagnostics.RANK_TOL * sigma_max)
 
 
 def reference_inner_sgd(p, a, ds, cfg, rng):

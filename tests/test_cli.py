@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import svd_extremes
+from conftest import svd_spectrum
 
 from twolayer_opt import (PAPER_ACTIVATIONS, FormatError, RunConfig,
                           builtin_activation, certify, cli, dataset,
@@ -150,7 +150,7 @@ class TestTrain:
         program = diagnostics.column_sigma_extremes
 
         def checked(D):
-            rows.append((program(D), svd_extremes(D)))
+            rows.append((program(D), svd_spectrum(D)))
             return rows[-1][0]
 
         monkeypatch.setattr(diagnostics, "column_sigma_extremes", checked)
@@ -161,15 +161,15 @@ class TestTrain:
         spectrum = manifest["derived"]["spectrum"]
         assert spectrum == routes
         assert len(rows) == 3
-        assert spectrum.get("svd", 0) == sum(got[1] is not None for got, _ in rows)
-        deficient = [sigma_min <= 1e-10 * sigma_max for _, (sigma_min, sigma_max) in rows]
-        assert sum(deficient) == deficient_rows
-        for (got, (sigma_min, sigma_max)), rank_deficient in zip(rows, deficient):
-            if got[1] is None:   # the inverse route: full rank by the SVD too
-                assert not rank_deficient
-                assert abs(got[0] - sigma_min) <= 529 * np.finfo(float).eps * sigma_max
+        assert spectrum.get("svd", 0) == sum(got.spectrum == "svd" for got, _ in rows)
+        assert sum(not want.full_rank for _, want in rows) == deficient_rows
+        for got, want in rows:
+            assert got.full_rank == want.full_rank
+            if got.spectrum == "inverse":
+                assert got[1] is None
+                assert abs(got[0] - want[0]) <= 529 * np.finfo(float).eps * want[1]
             else:
-                assert got == (sigma_min, sigma_max)
+                assert (got, got.spectrum) == (want, "svd")
 
     def test_realizable_descent(self, tmp_path):
         data = self._generate(tmp_path)

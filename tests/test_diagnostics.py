@@ -155,15 +155,20 @@ def svd_verdict(D):
             else "certified_near_global")
 
 
+def decided(got):
+    """column_sigma_extremes' (sigma_min, sigma_max), route and rank decision."""
+    return (*got, got.spectrum, got.full_rank)
+
+
 class TestColumnSigmaExtremes:
     @staticmethod
     def check_against_svd(M):
         got = diagnostics.column_sigma_extremes(M)
-        want = svd_extremes(M)
         if M.shape[0] < M.shape[1]:
-            assert got == (0.0, None)
+            assert decided(got) == (0.0, None, "shape", False)
         else:
-            assert got == want
+            assert decided(got) == (*svd_extremes(M), "svd",
+                                    svd_rank(M).is_full_rank())
 
     @settings(max_examples=100, deadline=None)
     @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 12)),
@@ -185,8 +190,9 @@ class TestColumnSigmaExtremes:
 
     @pytest.mark.parametrize("shape", [(3, 7), (4, 4), (7, 3)])
     def test_zero_matrix(self, shape):
-        want = (0.0, None if shape[0] < shape[1] else 0.0)
-        assert diagnostics.column_sigma_extremes(np.zeros(shape)) == want
+        want = ((0.0, None, "shape", False) if shape[0] < shape[1]
+                else (0.0, 0.0, "svd", False))
+        assert decided(diagnostics.column_sigma_extremes(np.zeros(shape))) == want
 
     @pytest.mark.parametrize("shape", [(3, 7), (4, 4), (7, 3)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -213,7 +219,7 @@ class TestColumnSigmaExtremes:
     def test_inverse_route_taken(self, rng):
         D = square_khatri_rao(rng, 23, 23)
         got = diagnostics.column_sigma_extremes(D)
-        assert got[1] is None
+        assert decided(got)[1:] == (None, "inverse", True)
         sigma_min, sigma_max = svd_extremes(D)
         assert abs(got[0] - sigma_min) <= 529 * np.finfo(float).eps * sigma_max
         cert = certify_D(D)
@@ -266,7 +272,21 @@ class TestColumnSigmaExtremes:
         cert = self.check_svd_fallback(D)
         assert cert.verdict == "certified_near_global"
         monkeypatch.setattr(diagnostics, "RANK_TOL", 1e-12)
-        assert diagnostics.column_sigma_extremes(D)[1] is None
+        assert decided(diagnostics.column_sigma_extremes(D))[1:] == \
+            (None, "inverse", True)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-4])
+    def test_isolated_sigma_min_takes_inverse(self, rng, s):
+        # singular values 1, ..., 1 and s, with s above the guard band
+        # RANK_TOL ||D||_F = 2.3e-9: the inverse route accepts s.  Closer
+        # to the band (3e-9, 1e-8) the Ritz values' changes are rounding
+        # errors, and whether the contraction test passes depends on Q
+        Q = np.linalg.qr(rng.normal(size=(512, 512)))[0]
+        D = Q * np.concatenate([np.ones(511), [s]])
+        got = diagnostics.column_sigma_extremes(D)
+        assert decided(got)[1:] == (None, "inverse", True)
+        sigma_min, sigma_max = svd_extremes(D)
+        assert abs(got[0] - sigma_min) <= 512 * np.finfo(float).eps * sigma_max
 
     def test_fallback_ritz_not_converged(self, rng):
         # singular values 1 ... 1.1 in equal steps: 32 columns cannot
@@ -355,7 +375,7 @@ class TestCholeskyQr:
         assert np.array_equal(block, want)
         D = square_khatri_rao(rng, 16, 32)
         first = diagnostics.column_sigma_extremes(D)
-        assert first[1] is None   # the inverse route decided
+        assert first.spectrum == "inverse"
         assert diagnostics.column_sigma_extremes(D) == first
 
     def test_cholesky_failure_takes_svd(self, rng, monkeypatch):
@@ -388,6 +408,14 @@ class TestCertify:
             assert cert.loss_value == model.loss(p, SIG, ds)
             if cert.verdict == "certified_near_global":
                 assert cert.residual_norm <= cert.certified_bound * (1 + 1e-8)
+
+    def test_overflowing_bound_inconclusive(self):
+        # D has full rank, but N ||grad|| / sigma_min = 4 * 2e150 / 1e-200
+        # overflows
+        system = model.StationaritySystem(D=1e-200 * np.eye(4), s=np.ones(4))
+        cert = diagnostics.certificate(system, np.full((2, 2), 1e150))
+        assert (cert.spectrum, cert.verdict) == ("svd", "inconclusive")
+        assert (cert.grad_norm, cert.certified_bound) == (2e150, np.inf)
 
     def test_overdetermined_columns_rank_deficient(self, rng):
         # N > n*d means D cannot have full column rank

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (fitted_labels, random_instance, reference_inner_sgd,
-                      rel_err, svd_extremes)
+                      rel_err, svd_extremes, svd_spectrum)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -503,7 +503,7 @@ class TestRun:
         cfg = RunConfig(n_outer=8, n_inner=5, sigma=0.2, seed=3)
         p1, r1 = run(SIG, ds, cfg)
 
-        monkeypatch.setattr(diagnostics, "column_sigma_extremes", svd_extremes)
+        monkeypatch.setattr(diagnostics, "column_sigma_extremes", svd_spectrum)
         p2, r2 = run(SIG, ds, cfg)
         np.testing.assert_array_equal(p1.W, p2.W)
         np.testing.assert_array_equal(p1.theta, p2.theta)
