@@ -9,7 +9,9 @@ D has full column rank,
 A small gradient plus a well-conditioned D therefore pins the residual (and
 the loss) near zero.  column_sigma_extremes computes sigma_min(D) on one of
 three routes, shape, inverse or svd, and the route decides whether D has
-full rank; the certificate's `spectrum` names it.  certificate is the one
+full rank; the certificate's `spectrum` names it.  Each route forms only
+what it reads: the shape route never forms a KhatriRao D, and the inverse
+route reads D's QR factor R in place.  certificate is the one
 place this arithmetic is done: certify applies it at a point, and
 optimizer.run at every iterate, from the stationarity system and gradient
 it already holds.  "Full rank" statements about random feature collections
@@ -28,8 +30,8 @@ import numpy as np
 
 from .activations import ActivationFunction
 from .errors import ConfigError, NumericsError, ShapeError
-from .model import (NetworkParams, StationaritySystem, _features, grad_W,
-                    khatri_rao, objective, stationarity_system)
+from .model import (KhatriRao, NetworkParams, StationaritySystem, _features,
+                    grad_W, khatri_rao, objective, stationarity_system)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -40,11 +42,16 @@ RANK_TOL = 1e-10
 # INVERSE_MIN_COLUMNS columns (below it the SVD is as fast), a start block
 # of INVERSE_BLOCK columns drawn from seed INVERSE_SEED, solves with D's
 # triangular QR factor by substitution over SUBSTITUTION_BLOCK-row blocks,
-# and the Ritz values tested after each count of solves in INVERSE_SOLVES
+# and the Ritz values tested after each count of solves in INVERSE_SOLVES.
+# A Ritz value whose last change is at most RITZ_STALL_ULPS units in its
+# last place has stopped moving (converged values moved 1 to 5 ulp at 4
+# solves for D = Q diag(1, ..., 1, s), 512 x 512, s = 3e-9 and 1e-8, at
+# 1 and 2 BLAS threads)
 INVERSE_MIN_COLUMNS = 512
 INVERSE_BLOCK = 32
 INVERSE_SEED = 0
 INVERSE_SOLVES = (4, 6)
+RITZ_STALL_ULPS = 8
 SUBSTITUTION_BLOCK = 32
 
 
@@ -217,20 +224,28 @@ def lipschitz_ball_bound(a: ActivationFunction, ds: "Dataset", R: float) -> floa
 
 
 def _diagonal_block_inverses(R: np.ndarray) -> list:
-    """Inverses of the upper-triangular R's diagonal blocks of
-    SUBSTITUTION_BLOCK rows (the last one may be smaller).  An exactly zero
-    diagonal entry raises np.linalg.LinAlgError."""
+    """Inverses of the diagonal blocks of SUBSTITUTION_BLOCK rows (the last
+    one may be smaller) of the upper triangle of R, whatever lies below
+    its diagonal: the full blocks in one stacked call, the short one in
+    another.  An exactly zero diagonal entry raises np.linalg.LinAlgError."""
     b = SUBSTITUTION_BLOCK
-    return [np.linalg.inv(R[s:s + b, s:s + b]) for s in range(0, len(R), b)]
+    k = len(R) // b
+    # the k full diagonal blocks as a (k, b, b) view of R
+    full = R[:k * b, :k * b].reshape(k, b, k, b).diagonal(axis1=0, axis2=2)
+    inverses = list(np.linalg.inv(np.triu(full.transpose(2, 0, 1))))
+    if k * b < len(R):
+        inverses.append(np.linalg.inv(np.triu(R[k * b:, k * b:])))
+    return inverses
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _triangular_solve(R: np.ndarray, inverses: list, X: np.ndarray, *,
                       transpose: bool) -> np.ndarray:
-    """R^{-1} X, or R^{-T} X when transpose, for the upper-triangular R by
-    block substitution with its _diagonal_block_inverses.  An overflow
-    leaves non-finite entries for the caller to test; it does not raise
-    under the CLI's np.errstate."""
+    """R^{-1} X, or R^{-T} X when transpose, for the upper triangle of R by
+    block substitution with its _diagonal_block_inverses.  No entry below
+    R's diagonal is read, so R may be the packed Householder output of a
+    QR.  An overflow leaves non-finite entries for the caller to test; it
+    does not raise under the CLI's np.errstate."""
     b = SUBSTITUTION_BLOCK
     Y = np.empty_like(X)
     if transpose:   # R^T is lower triangular: forward substitution
@@ -281,20 +296,24 @@ def _inverse_sigma_min(M: np.ndarray):
     """sigma_min of a square M by block inverse iteration, or None when the
     SVD has to decide.
 
-    M is factored once, M = Q_M R by np.linalg.qr; the triangular R has
-    M's singular values, and R^T R = M^T M.  The fixed-seed _start_block
+    M is factored once, M = Q_M R by np.linalg.qr, and R is read in place
+    as the upper triangle of its packed Householder output; the triangular
+    R has M's singular values, and R^T R = M^T M.  The fixed-seed _start_block
     goes through solves alternately with R^T and R (_triangular_solve),
     each followed by shifted CholeskyQR3 (_cholesky_qr; Fukaya et al.,
     SIAM J. Sci. Comput. 42, 2020), X = scale Q R_X.
     Once the block entering a solve is orthonormal, 1 / (scale ||R_X||_2)
     is a Ritz value of M: an upper bound on sigma_min that falls with every
     solve.  After each count of solves in INVERSE_SOLVES the block gets a
-    Rayleigh-Ritz step, sigma_min(M Q).  With ||M||_F >= sigma_max and
-    tol = sqrt(n) eps ||M||_F <= n eps sigma_max, the value is accepted
-    only when
-      * the Ritz values contract: the error left after the last solve,
-        extrapolated geometrically from the last two changes, is <= tol
-        (when it is not, the next count of solves is tried);
+    Rayleigh-Ritz step, sigma_min(M Q), and the Ritz values of the two
+    solves before the last are the only ones formed.  With ||M||_F >=
+    sigma_max and tol = sqrt(n) eps ||M||_F <= n eps sigma_max, the value
+    is accepted only when
+      * the Ritz values converge: the error left after the last solve,
+        extrapolated geometrically from the last two changes, is <= tol;
+        or the last change is at most RITZ_STALL_ULPS ulp and the
+        Rayleigh-Ritz value lies within tol of the last Ritz value (when
+        neither holds, the next count of solves is tried);
       * it lies above the guard band: sigma_min - tol > RANK_TOL ||M||_F,
         so that sigma_min > RANK_TOL * sigma_max for certain.
     An exactly singular diagonal block of R, a non-finite solve or a block
@@ -302,13 +321,13 @@ def _inverse_sigma_min(M: np.ndarray):
     n = M.shape[1]
     frob = float(np.linalg.norm(M))   # no overflow: entries lie in (1e-100, 1e100)
     tol = math.sqrt(n) * np.finfo(float).eps * frob
-    R = np.linalg.qr(M, mode="r")
+    R = np.linalg.qr(M, mode="raw")[0].T
     try:
         inverses = _diagonal_block_inverses(R)
     except np.linalg.LinAlgError:   # an exactly zero diagonal entry of R
         return None
     Q = _start_block(n)
-    ritz = []
+    ritz = []   # the Ritz values a checkpoint reads
     for i in range(INVERSE_SOLVES[-1]):
         X = _triangular_solve(R, inverses, Q, transpose=i % 2 == 0)
         if not np.isfinite(X).all():
@@ -317,33 +336,45 @@ def _inverse_sigma_min(M: np.ndarray):
             Q, R_X, scale = _cholesky_qr(X)
         except np.linalg.LinAlgError:
             return None
-        # in Python floats a product past the largest float is inf, not an error
-        ritz.append(1.0 / (scale * float(np.linalg.norm(R_X, 2))))
         if i + 1 in INVERSE_SOLVES:
             sigma_min = float(np.linalg.svd(M @ Q, compute_uv=False)[-1])
-            step, last = ritz[-3] - ritz[-2], ritz[-2] - sigma_min
-            if step > last and last * last <= tol * (step - last):
+            step, last = ritz[-2] - ritz[-1], ritz[-1] - sigma_min
+            if (step > last and last * last <= tol * (step - last)
+                    or abs(step) <= RITZ_STALL_ULPS * math.ulp(ritz[-1])
+                    and abs(last) <= tol):
                 return sigma_min if sigma_min - tol > RANK_TOL * frob else None
+        if i + 2 in INVERSE_SOLVES or i + 3 in INVERSE_SOLVES:
+            # in Python floats a product past the largest float is inf,
+            # not an error
+            ritz.append(1.0 / (scale * float(np.linalg.norm(R_X, 2))))
     return None
 
 
-def column_sigma_extremes(M: np.ndarray) -> SigmaExtremes:
-    """(sigma_min, sigma_max) of M, sigma_min its smallest *column* singular
-    value and sigma_max None when no SVD ran, with the route that computed
-    them and its decision that M has full column rank (SigmaExtremes):
+def column_sigma_extremes(M) -> SigmaExtremes:
+    """(sigma_min, sigma_max) of M, an array or a model.KhatriRao,
+    sigma_min its smallest *column* singular value and sigma_max None when
+    no SVD ran, with the route that computed them and its decision that M
+    has full column rank (SigmaExtremes):
       * shape, for a wide M: rank-deficient by shape, sigma_min = 0, with
-        no factorization.  The certificate exists only when N <= n*d.
+        no factorization, and a KhatriRao is never formed.  The
+        certificate exists only when N <= n*d.
       * inverse, for a square M with at least INVERSE_MIN_COLUMNS columns
         (the measured crossover) and entries of magnitude in (1e-100,
         1e100): _inverse_sigma_min's block inverse iteration, which accepts
         a value only when M has full rank for certain; else the SVD decides.
       * svd, for every other M: the full SVD, which alone gives sigma_max;
         full rank when sigma_min > RANK_TOL * sigma_max.
-    Non-finite entries raise NumericsError on every route."""
-    M = np.asarray(M, dtype=float)
-    m, n = M.shape
-    lo, hi = float(M.min()), float(M.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    Non-finite entries raise NumericsError on every route: a wide
+    KhatriRao's are read from its factors (KhatriRao.all_finite), every
+    other M's from a scan of its entries."""
+    m, n = np.shape(M)
+    if isinstance(M, KhatriRao) and m < n:
+        finite = M.all_finite()
+    else:
+        M = np.asarray(M, dtype=float)
+        lo, hi = float(M.min()), float(M.max())
+        finite = math.isfinite(lo) and math.isfinite(hi)
+    if not finite:
         raise NumericsError("non-finite entries in D")
     if m < n:
         return SigmaExtremes(0.0, None, "shape", False)

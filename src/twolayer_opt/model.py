@@ -12,11 +12,14 @@ vect(h'(W u_i) u_i^T) scaled rowwise by theta:
     vect(grad_W f) = -(1/N) D s,      s_i = v_i - phi(u_i).
 
 vect() stacks gradient rows (row-major), so block j of D (rows j*d..j*d+d-1)
-belongs to hidden row j.
+belongs to hidden row j.  Column i is the Khatri-Rao column a_i (x) u_i with
+A = h'(U W^T) theta, and stationarity_system returns D as a KhatriRao of A
+and U, formed only where np.asarray reads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,9 +86,10 @@ def random_params(rng: np.random.Generator, d: int, w_scale: float = 1.0,
 
 @dataclass(frozen=True)
 class StationaritySystem:
-    """Matrix D ((n*d) x N) and residual vector s (N,)."""
+    """Matrix D ((n*d) x N), a KhatriRao or an array, and residual vector
+    s (N,)."""
 
-    D: np.ndarray
+    D: KhatriRao | np.ndarray
     s: np.ndarray
 
 
@@ -114,6 +118,36 @@ def khatri_rao(A: np.ndarray, U: np.ndarray) -> np.ndarray:
     U[i] (d,)."""
     (N, n), d = A.shape, U.shape[1]
     return np.einsum("ij,ik->jki", A, U).reshape(n * d, N)
+
+
+class KhatriRao:
+    """D = khatri_rao(A, U), (n*d) x N, held as its factors A (N, n) and
+    U (N, d).  It has D's shape and nbytes; np.asarray forms D, once, on
+    first conversion, and all_finite reads D's finiteness from the
+    factors."""
+
+    def __init__(self, A: np.ndarray, U: np.ndarray):
+        self.A, self.U = A, U
+        self.shape = (A.shape[1] * U.shape[1], A.shape[0])
+        self.nbytes = self.shape[0] * self.shape[1] * A.itemsize
+        self._dense = None
+
+    def __array__(self, dtype=None, copy=None):
+        if self._dense is None:
+            self._dense = khatri_rao(self.A, self.U)
+        return np.array(self._dense, dtype=dtype, copy=copy)
+
+    def all_finite(self) -> bool:
+        """Whether every entry a_ij u_ik of D is finite, exactly: whether
+        max_i (max_j |a_ij|) (max_k |u_ik|) is, NaN propagating.  The rows'
+        maxima are taken only when the bound max|A| max|U| is not finite."""
+        A, U = self.A, self.U
+        if math.isfinite(max(float(A.max()), -float(A.min()))
+                         * max(float(U.max()), -float(U.min()))):
+            return True
+        with np.errstate(over="ignore", invalid="ignore"):
+            return math.isfinite((np.abs(A).max(axis=1)
+                                  * np.abs(U).max(axis=1)).max())
 
 
 def _residual_pass(p: NetworkParams, a: ActivationFunction, ds: "Dataset"):
@@ -151,10 +185,11 @@ def grad_W(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray
 
 def stationarity_system(p: NetworkParams, a: ActivationFunction,
                         ds: "Dataset") -> StationaritySystem:
-    """Assemble D and s so that vect(grad_W f) = -(1/N) D s."""
+    """D and s with vect(grad_W f) = -(1/N) D s, D as the KhatriRao of
+    A = h'(Z) theta and U: it is formed only where np.asarray reads it."""
     U, Z, s = _residual_pass(p, a, ds)
     scaled = np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :]  # (N, n)
-    return StationaritySystem(D=khatri_rao(scaled, U), s=s)
+    return StationaritySystem(D=KhatriRao(scaled, U), s=s)
 
 
 FD_STEP = 1e-5   # fd_gradients' step h

@@ -275,12 +275,19 @@ class TestColumnSigmaExtremes:
         assert decided(diagnostics.column_sigma_extremes(D))[1:] == \
             (None, "inverse", True)
 
-    @pytest.mark.parametrize("s", [1e-6, 1e-4])
-    def test_isolated_sigma_min_takes_inverse(self, rng, s):
+    # near the guard band (3e-9, 1e-8) also with Q from seeds 0-19
+    @pytest.mark.parametrize("s, seed", [
+        pytest.param(s, seed, id=str(s) if seed is None else f"{s}-seed{seed}")
+        for s in (1e-6, 1e-4, 3e-9, 1e-8)
+        for seed in ((None,) if s > 1e-8 else (None, *range(20)))])
+    def test_isolated_sigma_min_takes_inverse(self, rng, s, seed):
         # singular values 1, ..., 1 and s, with s above the guard band
         # RANK_TOL ||D||_F = 2.3e-9: the inverse route accepts s.  Closer
-        # to the band (3e-9, 1e-8) the Ritz values' changes are rounding
-        # errors, and whether the contraction test passes depends on Q
+        # to the band the Ritz values' changes are rounding errors by 4
+        # solves, and for some Q they stop moving (7 of these 21 at 3e-9,
+        # 1 at 1e-8): the rounding-level rule accepts them
+        if seed is not None:
+            rng = np.random.default_rng(seed)
         Q = np.linalg.qr(rng.normal(size=(512, 512)))[0]
         D = Q * np.concatenate([np.ones(511), [s]])
         got = diagnostics.column_sigma_extremes(D)
@@ -317,6 +324,19 @@ class TestTriangularSolve:
         got = diagnostics._triangular_solve(R, inverses, X, transpose=transpose)
         want = np.linalg.solve(R.T if transpose else R, X)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_packed_qr_factor(self, rng, R, transpose):
+        # R read in place from the raw QR, with Householder data below its
+        # diagonal, gives the bits of its upper triangle
+        packed = np.linalg.qr(R.T @ R, mode="raw")[0].T
+        upper = np.triu(packed)
+        assert not np.array_equal(packed, upper)
+        X = rng.normal(size=(len(R), diagnostics.INVERSE_BLOCK))
+        got, want = (diagnostics._triangular_solve(
+            M, diagnostics._diagonal_block_inverses(M), X, transpose=transpose)
+            for M in (packed, upper))
+        assert got.tobytes() == want.tobytes()
 
     def test_singular_diagonal_block_takes_svd(self, rng):
         # u_i = 0 zeroes column i of D, and R[i, i] = 0 exactly: the
@@ -416,6 +436,20 @@ class TestCertify:
         cert = diagnostics.certificate(system, np.full((2, 2), 1e150))
         assert (cert.spectrum, cert.verdict) == ("svd", "inconclusive")
         assert (cert.grad_norm, cert.certified_bound) == (2e150, np.inf)
+
+    @pytest.mark.parametrize("poison", ["overflow", "nan"])
+    def test_wide_non_finite_D(self, rng, poison):
+        # the shape route never forms D: its factors show the bad entries,
+        # with no floating-point error under the CLI's errstate
+        A, U = rng.normal(size=(10, 2)), rng.uniform(-1.0, 1.0, size=(10, 2))
+        if poison == "overflow":   # every product 1e200 * 1e200 overflows
+            A, U = np.full_like(A, 1e200), np.full_like(U, 1e200)
+        else:
+            A[3, 1] = np.nan
+        system = model.StationaritySystem(D=model.KhatriRao(A, U), s=np.ones(10))
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                pytest.raises(NumericsError, match="non-finite entries in D"):
+            diagnostics.certificate(system, np.ones((2, 2)))
 
     def test_overdetermined_columns_rank_deficient(self, rng):
         # N > n*d means D cannot have full column rank

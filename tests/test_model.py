@@ -135,6 +135,33 @@ class TestGradW:
             assert rel_err(fd_w, model.grad_W(p, SIG, ds)) <= 1e-6
 
 
+class TestKhatriRao:
+    def test_converts_to_khatri_rao(self, rng):
+        A, U = rng.normal(size=(7, 2)), rng.uniform(-1.0, 1.0, size=(7, 3))
+        D, dense = model.KhatriRao(A, U), model.khatri_rao(A, U)
+        assert (D.shape, D.nbytes) == (dense.shape, dense.nbytes)
+        got = np.asarray(D)
+        assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
+        assert np.asarray(D) is got   # formed once
+
+    @pytest.mark.parametrize("poison", [
+        None, "overflow", "nan", "inf_times_zero", "large_in_other_rows"])
+    def test_all_finite_from_factors(self, rng, poison):
+        A, U = rng.normal(size=(7, 2)), rng.uniform(-1.0, 1.0, size=(7, 3))
+        if poison == "overflow":
+            A[2, 0], U[2, 1] = 1e200, -1e200
+        elif poison == "nan":
+            U[4, 2] = np.nan
+        elif poison == "inf_times_zero":   # D's entry inf * 0 is NaN
+            A[5, 1], U[5] = np.inf, 0.0
+        elif poison == "large_in_other_rows":   # max|A| max|U| overflows, no entry does
+            A[1, 0], U[3, 2] = 1e200, 1e200
+        with np.errstate(all="raise"):
+            got = model.KhatriRao(A, U).all_finite()
+        assert got == np.isfinite(model.khatri_rao(A, U)).all()
+        assert got == (poison in (None, "large_in_other_rows"))
+
+
 class TestStationaritySystem:
     def test_zero_theta_zero_D(self, rng):
         p, ds = random_instance(rng, d=3, n=3, N=5)
@@ -148,7 +175,7 @@ class TestStationaritySystem:
         ds = Dataset(np.array([[1.0]]), np.array([0.0]), Provenance("manual"))
         sys = model.stationarity_system(p, SIG, ds)
         assert sys.D.shape == (1, 1)
-        assert sys.D[0, 0] == pytest.approx(0.5)
+        assert np.asarray(sys.D)[0, 0] == pytest.approx(0.5)
 
     def test_identity_on_random_instances(self, rng):
         for _ in range(20):

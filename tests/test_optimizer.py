@@ -534,6 +534,20 @@ class TestRun:
             assert sigma_min > 1e-10 * sigma_max   # the SVD's verdict: full rank
             assert abs(got - sigma_min) <= 529 * eps * sigma_max
 
+    @pytest.mark.parametrize("certify_rows", [True, False])
+    @pytest.mark.parametrize("N", [9, 30], ids=["square_D", "wide_D"])
+    def test_D_formed_only_where_read(self, monkeypatch, N, certify_rows):
+        # a square D is formed once per certified row; a wide one never,
+        # since its route reads only its shape and factors
+        formed = []
+        program = model.khatri_rao
+        monkeypatch.setattr(model, "khatri_rao",
+                            lambda A, U: formed.append(A.shape) or program(A, U))
+        cfg = RunConfig(n_outer=6, n_inner=5, sigma=0.2, seed=3)
+        _, rec = run(SIG, make_realizable(3, N, seed=4), cfg, certify_rows=certify_rows)
+        certified = len(rec) if certify_rows else 1
+        assert len(formed) == (certified if N == 9 else 0)
+
     @pytest.mark.parametrize("N", [9, 30], ids=["square_D", "wide_D"])
     def test_final_row_is_the_certificate(self, N):
         ds = make_realizable(3, N, seed=4)
