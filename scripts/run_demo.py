@@ -18,7 +18,7 @@ def demo(workdir: Path) -> int:
     steps = [
         ["generate", "--d", "3", "--n-samples", "9", "--data-seed", "7",
          "--activation", "sigmoid", "--out", str(data), "--name", "demo",
-         "--warn-overparam", "--force"],
+         "--force"],
         ["train", "--data", str(data / "demo.csv"), "--activation", "sigmoid",
          "--out", str(runs), "--name", "demo", "--reps", "3",
          "--n-outer", "120", "--n-inner", "25", "--sigma", "0.2",

@@ -6,6 +6,10 @@ bound on the gradient of H(x1, x2) = h(x1) h'(x2).  The constant tables were
 obtained by dense numerical maximization over [-50, 50] (see
 scripts/derive_activation_bounds.py) and are stored with a 5% safety margin.
 
+Three activations are affine images of another, h = a h_b(b x) + c, and are
+built from it: sigmoid_symmetric(x) = tanh(x/2), gaussian_symmetric =
+2 gaussian - 1 and elliot = (elliot_symmetric + 1) / 2.
+
 claimed_c1 declares the paper's good class: False for the controls `linear`
 and `relu`, whose h' is constant on an interval.  The listed elliot pair
 fails the class's interval condition, (x+1) h'(x) + h(x) = 1 on x > 0, yet
@@ -76,21 +80,6 @@ def _d2_sigmoid(x):
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
-# (1 - e^-x) / (1 + e^-x) == tanh(x/2); the tanh form is overflow-free
-def _sigsym(x):
-    return np.tanh(0.5 * x)
-
-
-def _d_sigsym(x):
-    t = np.tanh(0.5 * x)
-    return 0.5 * (1.0 - t * t)
-
-
-def _d2_sigsym(x):
-    t = np.tanh(0.5 * x)
-    return -0.5 * t * (1.0 - t * t)
-
-
 @np.errstate(over="ignore")
 def _gauss(x):
     return np.exp(-x * x)
@@ -107,37 +96,6 @@ def _d2_gauss(x):
     return 4.0 * x * (x * e) - 2.0 * e
 
 
-@np.errstate(over="ignore")
-def _gausssym(x):
-    return 2.0 * np.exp(-x * x) - 1.0
-
-
-@np.errstate(over="ignore")
-def _d_gausssym(x):
-    return -4.0 * x * np.exp(-x * x)
-
-
-@np.errstate(over="ignore")
-def _d2_gausssym(x):
-    e = np.exp(-x * x)
-    return 8.0 * x * (x * e) - 4.0 * e
-
-
-def _elliot(x):
-    return x / (2.0 * (1.0 + np.abs(x))) + 0.5
-
-
-@np.errstate(over="ignore")
-def _d_elliot(x):
-    return 0.5 / (1.0 + np.abs(x)) ** 2
-
-
-@np.errstate(over="ignore")
-def _d2_elliot(x):
-    # h'' jumps at 0; the symmetric convention h''(0) = 0 is used
-    return -np.sign(x) / (1.0 + np.abs(x)) ** 3
-
-
 def _elliotsym(x):
     return x / (1.0 + np.abs(x))
 
@@ -149,6 +107,7 @@ def _d_elliotsym(x):
 
 @np.errstate(over="ignore")
 def _d2_elliotsym(x):
+    # h'' jumps at 0; the symmetric convention h''(0) = 0 is used
     return -2.0 * np.sign(x) / (1.0 + np.abs(x)) ** 3
 
 
@@ -203,6 +162,9 @@ def _d_relu(x):
 # from scripts/derive_activation_bounds.py.  Any activation with unbounded h
 # (softplus) keeps value_bound = None; its grad-H constant is only valid for
 # arguments within [-50, 50], which covers every estimator use at desk scale.
+# A paired activation is an affine image of its base h_b, h = a h_b(b x) + c,
+# so h' = a b h_b'(b x) and h'' = a b^2 h_b''(b x); each term is written out,
+# since a factor 1.0 or a term + 0.0 would change the sign of a zero.
 _BUILTINS = {
     "softplus": ActivationFunction(
         "softplus", _softplus, _sigmoid, _d_sigmoid,
@@ -212,8 +174,10 @@ _BUILTINS = {
         "sigmoid", _sigmoid, _d_sigmoid, _d2_sigmoid,
         value_bound=1.0, deriv_lipschitz=0.101037, grad_H_bound=0.101034,
         claimed_c1=True),
+    # (1 - e^-x) / (1 + e^-x) = tanh(x/2), the overflow-free form
     "sigmoid_symmetric": ActivationFunction(
-        "sigmoid_symmetric", _sigsym, _d_sigsym, _d2_sigsym,
+        "sigmoid_symmetric", lambda x: np.tanh(0.5 * x),
+        lambda x: 0.5 * _d_tanh(0.5 * x), lambda x: 0.25 * _d2_tanh(0.5 * x),
         value_bound=1.0, deriv_lipschitz=0.202073, grad_H_bound=0.2625,
         claimed_c1=True),
     "gaussian": ActivationFunction(
@@ -221,11 +185,13 @@ _BUILTINS = {
         value_bound=1.0, deriv_lipschitz=2.1, grad_H_bound=2.1,
         claimed_c1=True),
     "gaussian_symmetric": ActivationFunction(
-        "gaussian_symmetric", _gausssym, _d_gausssym, _d2_gausssym,
+        "gaussian_symmetric", lambda x: 2.0 * _gauss(x) - 1.0,
+        lambda x: 2.0 * _d_gauss(x), lambda x: 2.0 * _d2_gauss(x),
         value_bound=1.0, deriv_lipschitz=4.2, grad_H_bound=4.2,
         claimed_c1=True),
     "elliot": ActivationFunction(
-        "elliot", _elliot, _d_elliot, _d2_elliot,
+        "elliot", lambda x: 0.5 * _elliotsym(x) + 0.5,
+        lambda x: 0.5 * _d_elliotsym(x), lambda x: 0.5 * _d2_elliotsym(x),
         value_bound=1.0, deriv_lipschitz=1.05, grad_H_bound=1.039706,
         claimed_c1=True),
     "elliot_symmetric": ActivationFunction(

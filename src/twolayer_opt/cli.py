@@ -175,7 +175,7 @@ def cmd_generate(args) -> int:
     spec = _load_spec(args)
     ds, _ = _dataset_from_args(args, spec)
     d, N, dist = ds.dim, ds.n_samples, ds.provenance.distribution
-    if args.warn_overparam and N > d * d:
+    if N > d * d:
         print(f"warning: N={N} exceeds d^2={d * d}; the full-column-rank "
               "certificate needs the number of samples to stay below the "
               "number of parameters (N <= n*d)", file=sys.stderr)
@@ -436,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = command("generate", cmd_generate, "generate a teacher-labeled dataset",
                   SPEC_FLAGS + DATASET_FLAGS + OUT_FLAGS)
     gen.add_argument("--name", type=file_name, default="data")
-    gen.add_argument("--warn-overparam", action="store_true")
 
     tr = command("train", cmd_train, "run SGD-GD repetitions",
                  SPEC_FLAGS + ("--seed",) + DATASET_FLAGS + OUT_FLAGS)

@@ -13,8 +13,9 @@ vect(h'(W u_i) u_i^T) scaled rowwise by theta:
 
 vect() stacks gradient rows (row-major), so block j of D (rows j*d..j*d+d-1)
 belongs to hidden row j.  Column i is the Khatri-Rao column a_i (x) u_i with
-A = h'(U W^T) theta, and stationarity_system returns D as a KhatriRao of A
-and U, formed only where np.asarray reads it.
+A = h'(U W^T) theta.  One pass computes U, A and s: stationarity_system
+returns D as a KhatriRao of A and U, formed only where np.asarray reads it,
+and grad_W is -((A s)^T U) / N, with no D.
 """
 
 from __future__ import annotations
@@ -122,20 +123,16 @@ def khatri_rao(A: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 class KhatriRao:
     """D = khatri_rao(A, U), (n*d) x N, held as its factors A (N, n) and
-    U (N, d).  It has D's shape and nbytes; np.asarray forms D, once, on
-    first conversion, and all_finite reads D's finiteness from the
-    factors."""
+    U (N, d).  It has D's shape and nbytes; np.asarray forms D on each
+    conversion, and all_finite reads D's finiteness from the factors."""
 
     def __init__(self, A: np.ndarray, U: np.ndarray):
         self.A, self.U = A, U
         self.shape = (A.shape[1] * U.shape[1], A.shape[0])
         self.nbytes = self.shape[0] * self.shape[1] * A.itemsize
-        self._dense = None
 
     def __array__(self, dtype=None, copy=None):
-        if self._dense is None:
-            self._dense = khatri_rao(self.A, self.U)
-        return np.array(self._dense, dtype=dtype, copy=copy)
+        return np.array(khatri_rao(self.A, self.U), dtype=dtype, copy=copy)
 
     def all_finite(self) -> bool:
         """Whether every entry a_ij u_ik of D is finite, exactly: whether
@@ -176,20 +173,24 @@ def grad_theta(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.nda
     return -(H.T @ (ds.labels - H @ p.theta)) / len(ds.labels)
 
 
+def _deriv_pass(p: NetworkParams, a: ActivationFunction, ds: "Dataset"):
+    """_features' U, D's factor A = h'(Z) theta (N, n) and the residuals s."""
+    U, Z, s = _residual_pass(p, a, ds)
+    return U, np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :], s
+
+
 def grad_W(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """Exact gradient of f in W, entry (j,k) = -(1/N) sum_i s_i h'(z_ij) theta_j u_ik."""
-    U, Z, s = _residual_pass(p, a, ds)
-    A = np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :] * s[:, None]
-    return -(A.T @ U) / len(s)
+    U, A, s = _deriv_pass(p, a, ds)
+    return -((A * s[:, None]).T @ U) / len(s)
 
 
 def stationarity_system(p: NetworkParams, a: ActivationFunction,
                         ds: "Dataset") -> StationaritySystem:
     """D and s with vect(grad_W f) = -(1/N) D s, D as the KhatriRao of
     A = h'(Z) theta and U: it is formed only where np.asarray reads it."""
-    U, Z, s = _residual_pass(p, a, ds)
-    scaled = np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :]  # (N, n)
-    return StationaritySystem(D=KhatriRao(scaled, U), s=s)
+    U, A, s = _deriv_pass(p, a, ds)
+    return StationaritySystem(D=KhatriRao(A, U), s=s)
 
 
 FD_STEP = 1e-5   # fd_gradients' step h

@@ -65,12 +65,12 @@ class TestGenerate:
         assert "'seed'" in err and err.count("\n") == 1
 
     def test_overparam_warning(self, tmp_path, capsys):
-        run_cli("generate", "--d", "2", "--n-samples", "5", "--warn-overparam",
+        run_cli("generate", "--d", "2", "--n-samples", "5",
                 "--out", str(tmp_path), "--name", "big")
         err = capsys.readouterr().err
         assert "number of samples" in err
 
-        run_cli("generate", "--d", "3", "--n-samples", "5", "--warn-overparam",
+        run_cli("generate", "--d", "3", "--n-samples", "5",
                 "--out", str(tmp_path), "--name", "ok")
         assert "number of samples" not in capsys.readouterr().err
 
@@ -721,6 +721,8 @@ def test_readme_trajectory_header():
     ["train", "--d", "3", "--n-samples", "9", "--rank-tol", "0.9"],
     ["generate", "--d", "3", "--n-samples", "9", "--rank-tol", "0.9"],
     ["generate", "--d", "3", "--n-samples", "9", "--seed", "7"],
+    # generate warns whenever N > d^2; no flag turns the warning on
+    ["generate", "--d", "3", "--n-samples", "9", "--warn-overparam", "--force"],
     # a dataset from a file and a recipe at once
     ["train", "--data", "data.csv", "--noise-std", "0.1"],
     ["train", "--config", "PATH_CONFIG", "--d", "3"],
@@ -762,7 +764,8 @@ def test_readme_trajectory_header():
         "theorem1_seeds_0", "theorem2_seeds_0", "train_reps_0",
         "plotdata_seed", "plotdata_activation", "plotdata_config",
         "plotdata_rank_tol", "train_rank_tol", "generate_rank_tol",
-        "generate_seed", "train_data_and_recipe", "train_config_path_and_recipe",
+        "generate_seed", "generate_warn_overparam", "train_data_and_recipe",
+        "train_config_path_and_recipe",
         "generate_config_path_and_recipe", "diagnose_params_d_mismatch",
         "certify_seeds", "certify_trials", "certify_instances", "gradcheck_seeds",
         "gradcheck_rank_tol", "theorem2_trials", "theorem2_rank_tol",
