@@ -11,8 +11,7 @@ the same environment.  The list holds the benchmark's four workloads at data
 seed 1, as perfbench/workloads.py defines them, a tall D (N < n*d),
 `verify theorem1` and `rank`, `diagnose --out` at d = 3 and d = 25,
 `train` at d = 3 for the three activations built from another (at the
-default --w-scale and at 30) and with --early-exit, and README's example
-config.
+default --w-scale and at 30), and README's example config.
 
 Every file written is compared byte for byte, a manifest without its
 wall_time_s, and so are each command's stdout, stderr and exit code.  Each
@@ -62,8 +61,6 @@ COMMANDS = [
        "--out", f"paired/{act}{'-w30' if scale else ''}"]
       for act in ("sigmoid_symmetric", "gaussian_symmetric", "elliot")
       for scale in ((), ("--w-scale", "30"))],
-    ["train", "--d", "3", "--n-samples", "9", "--early-exit", "--sigma", "0.3",
-     "--out", "early_exit"],
     ["generate", "--config", "readme.json", "--out", "readme"],
     ["train", "--config", "readme.json"],
     ["plotdata", "--run-dir", "runs"],

@@ -87,13 +87,13 @@ def _gauss(x):
 
 @np.errstate(over="ignore")
 def _d_gauss(x):
-    return -2.0 * x * np.exp(-x * x)
+    return x * (-2.0 * np.exp(-x * x))
 
 
 @np.errstate(over="ignore")
 def _d2_gauss(x):
     e = np.exp(-x * x)
-    return 4.0 * x * (x * e) - 2.0 * e
+    return x * (4.0 * (x * e)) - 2.0 * e
 
 
 def _elliotsym(x):

@@ -451,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--beta", type=float)
     tr.add_argument("--gamma", type=float)
     tr.add_argument("--theorem2-preset", action="store_true", default=None)
-    tr.add_argument("--early-exit", action="store_true", default=None)
     tr.add_argument("--w-scale", dest="init_w_scale", type=float)
     tr.add_argument("--theta-scale", dest="init_theta_scale", type=float)
 

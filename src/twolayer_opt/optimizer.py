@@ -1,9 +1,8 @@
 """Alternating SGD-GD trainer.
 
 Each outer iteration runs an inner stochastic-gradient phase on the convex
-theta-subproblem (prox steps onto the ball ||theta|| <= R/2, with
-beta-weighted iterate averaging and optional early exit once the objective
-improves on the incoming theta), then takes a single full-gradient descent
+theta-subproblem (N_i prox steps onto the ball ||theta|| <= R/2, with
+beta-weighted iterate averaging), then takes a single full-gradient descent
 step on the hidden layer W (outer_step).  A run starts from
 model.random_params with theta projected into the ball; project_ball is the
 one projection onto the ball, and prox_ball the prox step built on it.
@@ -59,8 +58,8 @@ from .diagnostics import (certificate, l2_norm, lipschitz_ball_bound,
                           svd_rank, theta_spectrum)
 from .errors import ConfigError, NumericsError, ShapeError
 from .files import check_keys, json_field
-from .model import (NetworkParams, _features, grad_W, loss, objective,
-                    random_params, stationarity_system)
+from .model import (NetworkParams, _features, grad_W, loss, random_params,
+                    stationarity_system)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -71,7 +70,7 @@ RUN_KEYS = {
     "N_o": ("n_outer", int), "N_i": ("n_inner", int), "R": ("R", float),
     "sigma": ("sigma", float), "beta": ("beta", float),
     "gamma": ("gamma", float), "theorem2_preset": ("theorem2_preset", bool),
-    "early_exit": ("early_exit", bool), "seed": ("seed", int),
+    "seed": ("seed", int),
 }
 INIT_KEYS = {"W_scale": ("init_w_scale", float),
              "theta_scale": ("init_theta_scale", float)}
@@ -95,7 +94,6 @@ class RunConfig:
     beta: Optional[float] = None
     gamma: Optional[float] = None
     theorem2_preset: bool = False
-    early_exit: bool = False
     seed: int = 0
     init_w_scale: float = 1.0
     init_theta_scale: float = 1.0
@@ -153,7 +151,6 @@ class InnerSummary:
     steps: int
     beta: float
     l_theta: float
-    early_exit: bool = False
 
 
 @dataclass
@@ -239,25 +236,16 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
               cfg: RunConfig, rng: np.random.Generator):
     """Inner stochastic phase at fixed W; returns (theta_new, InnerSummary).
 
-    theta_new is the beta-weighted average of the prox iterates (or the
-    first average that already improves on the incoming theta, when
-    early_exit is on).
-
+    theta_new is the beta-weighted average of the n_inner prox iterates.
     Step t is theta <- P_ball((I - beta G) theta + beta (b - xi_t)) (see
     the module docstring), taken in G's eigenbasis, where I - beta G is
     diagonal.  Each block of INNER_BLOCK steps draws its phase_noise in one
-    call; an early exit after k steps of a block rewinds rng and redraws k
-    rows, leaving it where k per-step draws would.
+    call.
     """
-    n_inner, sigma, early_exit = cfg.n_inner, cfg.sigma, cfg.early_exit
-    radius = cfg.R / 2.0
+    n_inner, sigma, radius = cfg.n_inner, cfg.sigma, cfg.R / 2.0
 
     _, _, H = _features(a, p.W, ds.inputs)   # fixed during the phase
     v = ds.labels
-
-    def f_of(theta):
-        return objective(v - H @ theta)
-
     lam, Q = theta_spectrum(H)
     l_theta = float(lam[-1])
     beta = _resolve_beta(cfg, l_theta)
@@ -270,15 +258,13 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
 
     # the steps run on Python floats: with n a handful of hidden units, a
     # numpy call on an n-vector costs more than its arithmetic.  The
-    # projection is project_ball's, on lists.  sum_y adds the iterates in
-    # running-sum order (not by sum(), which compensates on Python 3.12+),
-    # folding each block's ys once unless early exit tests every step
-    f_incoming = f_of(p.theta) if early_exit else None
+    # projection is project_ball's, on lists.  Each block's ys are folded
+    # into sum_y in running-sum order (not by sum(), which compensates on
+    # Python 3.12+)
     lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
-    sum_y, steps, exited = [0.0] * n, 0, False
-    while steps < n_inner and not exited:
-        rows = min(INNER_BLOCK, n_inner - steps)
-        state = rng.bit_generator.state if early_exit else None
+    sum_y = [0.0] * n
+    for start in range(0, n_inner, INNER_BLOCK):
+        rows = min(INNER_BLOCK, n_inner - start)
         Cq = beta * (b - phase_noise(rng, sigma, rows, n)) @ Q
         ys = []
         for c in Cq.tolist():
@@ -288,20 +274,9 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
                 scale = radius / norm
                 y = [yi * scale for yi in y]
             ys.append(y)
-            if early_exit:
-                sum_y = [s + yi for s, yi in zip(sum_y, y)]
-                if f_of(Q @ np.divide(sum_y, steps + len(ys))) <= f_incoming:
-                    exited = True
-                    break
-        if not early_exit:
-            sum_y = [reduce(add, col, s) for s, col in zip(sum_y, zip(*ys))]
-        steps += len(ys)
-        if len(ys) < rows:   # leave rng where step-by-step draws would
-            rng.bit_generator.state = state
-            phase_noise(rng, sigma, len(ys), n)
-    theta_avg = Q @ np.divide(sum_y, steps)
-    return theta_avg, InnerSummary(steps=steps, beta=beta, l_theta=l_theta,
-                                   early_exit=exited)
+        sum_y = [reduce(add, col, s) for s, col in zip(sum_y, zip(*ys))]
+    theta_avg = Q @ np.divide(sum_y, n_inner)
+    return theta_avg, InnerSummary(steps=n_inner, beta=beta, l_theta=l_theta)
 
 
 def _check_gamma(gamma: float, lipschitz_bound: float) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twolayer_opt import (Dataset, NetworkParams, Provenance, diagnostics,
-                          model, optimizer)
+                          optimizer)
 from twolayer_opt.diagnostics import theta_spectrum
 from twolayer_opt.verify import rel_err  # noqa: F401  (re-exported to the tests)
 
@@ -42,18 +42,11 @@ def reference_inner_sgd(p, a, ds, cfg, rng):
     radius = cfg.R / 2.0
     H = np.asarray(a.eval(np.asarray(ds.inputs) @ p.W.T), dtype=float)
     v = np.asarray(ds.labels, dtype=float)
-
-    def f_of(theta):
-        return model.objective(v - H @ theta)
-
     l_theta = float(theta_spectrum(H)[0][-1])
     beta = optimizer._resolve_beta(cfg, l_theta)
-    f_incoming = f_of(p.theta)
     theta_bar = p.theta
     sum_w = 0.0
     sum_wtheta = np.zeros_like(p.theta)
-    steps = 0
-    exited = False
     largest = 0.0
     for _ in range(n_inner):
         g = -(H.T @ (v - H @ theta_bar)) / len(v)
@@ -63,14 +56,9 @@ def reference_inner_sgd(p, a, ds, cfg, rng):
         largest = max(largest, float(np.linalg.norm(theta_bar)))
         sum_w += beta
         sum_wtheta = sum_wtheta + beta * theta_bar
-        steps += 1
-        if cfg.early_exit and f_of(sum_wtheta / sum_w) <= f_incoming:
-            exited = True
-            break
     theta_avg = sum_wtheta / sum_w
     return theta_avg, optimizer.InnerSummary(
-        steps=steps, beta=beta, l_theta=l_theta,
-        early_exit=exited), largest
+        steps=n_inner, beta=beta, l_theta=l_theta), largest
 
 
 def random_instance(rng, d=None, n=None, N=None, square=False):

@@ -177,3 +177,15 @@ def test_elliot_family_interval_degeneracy(name):
     np.testing.assert_allclose(relation, relation[0], rtol=0, atol=1e-14)
     mirrored = (-x - 1) * a.deriv(-x) + a.eval(-x)
     np.testing.assert_allclose(mirrored, mirrored[0], rtol=0, atol=1e-14)
+
+
+# h' and h'' of the gaussian pair at |x| near the float64 maximum: the
+# exponential underflows to 0, and no other intermediate may overflow
+# (-2x and 4x do above 8.98e307 and 4.5e307, and inf * 0 is NaN)
+@pytest.mark.parametrize("name", ["gaussian", "gaussian_symmetric"])
+def test_gaussian_derivatives_vanish_near_float_max(name):
+    a = builtin_activation(name)
+    x = np.array([1e308, -1e308, 5e307, -5e307])
+    with np.errstate(all="raise", under="ignore"):
+        np.testing.assert_array_equal(a.deriv(x), 0.0)
+        np.testing.assert_array_equal(a.deriv2(x), 0.0)

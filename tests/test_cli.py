@@ -218,10 +218,13 @@ class TestTrain:
         ({"dataset": None}, "'dataset'"),
         ({"out_dir": None}, "'out_dir'"),
         (None, "JSON object"),
-        ({"run": {"N_o": 2, "N_i": 2, "early_exit": "false"}}, "'early_exit'"),
+        # early_exit is no run key, whatever its value
+        ({"run": {"N_o": 2, "N_i": 2, "early_exit": False}},
+         "unknown run config key 'early_exit'"),
         ({"run": {"N_o": 2, "N_i": 2, "theorem2_preset": "no"}},
          "'theorem2_preset'"),
-        ({"run": {"N_o": 2, "N_i": 2, "early_exit": 0}}, "'early_exit'"),
+        ({"run": {"N_o": 2, "N_i": 2, "theorem2_preset": 0}},
+         "'theorem2_preset'"),
         ({"run": {"N_o": 2.7, "N_i": 2}}, "'N_o'"),
         ({"repetitions": True}, "'repetitions'"),
         ({"run": {"N_o": 2, "N_i": 2, "sigma": False}}, "'sigma'"),
@@ -250,7 +253,7 @@ class TestTrain:
         ({"dataset": {"d": 3, "N": 9, "noise_std": float("nan")}}, "noise_std"),
     ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
             "out_dir", "list", "run.early_exit", "run.theorem2_preset",
-            "run.early_exit_number", "run.N_o_fraction", "repetitions_bool",
+            "run.theorem2_preset_number", "run.N_o_fraction", "repetitions_bool",
             "run.sigma_bool", "activation_list", "dataset.path", "name",
             "activation_unknown", "unknown.run.n_outer", "unknown.repititions",
             "unknown.dataset.noise", "unknown.run.init.w_scale",
@@ -723,6 +726,8 @@ def test_readme_trajectory_header():
     ["generate", "--d", "3", "--n-samples", "9", "--seed", "7"],
     # generate warns whenever N > d^2; no flag turns the warning on
     ["generate", "--d", "3", "--n-samples", "9", "--warn-overparam", "--force"],
+    # the inner phase always runs its N_i steps
+    ["train", "--d", "3", "--n-samples", "9", "--early-exit", "--force"],
     # a dataset from a file and a recipe at once
     ["train", "--data", "data.csv", "--noise-std", "0.1"],
     ["train", "--config", "PATH_CONFIG", "--d", "3"],
@@ -764,7 +769,8 @@ def test_readme_trajectory_header():
         "theorem1_seeds_0", "theorem2_seeds_0", "train_reps_0",
         "plotdata_seed", "plotdata_activation", "plotdata_config",
         "plotdata_rank_tol", "train_rank_tol", "generate_rank_tol",
-        "generate_seed", "generate_warn_overparam", "train_data_and_recipe",
+        "generate_seed", "generate_warn_overparam", "train_early_exit",
+        "train_data_and_recipe",
         "train_config_path_and_recipe",
         "generate_config_path_and_recipe", "diagnose_params_d_mismatch",
         "certify_seeds", "certify_trials", "certify_instances", "gradcheck_seeds",

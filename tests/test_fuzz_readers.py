@@ -213,7 +213,7 @@ def test_trajectory_reader(runs):
 
 RUN_VALUES = {"N_o": st.integers(0, 3), "N_i": st.integers(1, 3),
               "R": st.floats(0.5, 8.0), "sigma": st.floats(0.0, 1.0),
-              "early_exit": st.booleans(), "seed": st.integers(0, 9)}
+              "seed": st.integers(0, 9)}
 FLOAT_KEYS = ("R", "sigma", "beta", "gamma", "noise_std", *INIT_KEYS)
 
 

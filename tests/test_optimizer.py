@@ -24,49 +24,33 @@ SIG = builtin_activation("sigmoid")
 
 
 def running_sum_inner_sgd(p, a, ds, cfg, rng):
-    """inner_sgd's eigenbasis steps with the mean kept as a running sum,
-    updated and (under early exit) tested at every step.  Returns
+    """inner_sgd's eigenbasis steps with the phase's noise drawn in one call
+    and the mean kept as a running sum, updated at every step.  Returns
     (theta_avg, InnerSummary, the 0-based steps whose iterate was
     projected)."""
     n_inner, sigma = cfg.n_inner, cfg.sigma
     radius = cfg.R / 2.0
     _, _, H = model._features(a, p.W, ds.inputs)
     v = np.asarray(ds.labels, dtype=float)
-
-    def f_of(theta):
-        return model.objective(v - H @ theta)
-
     lam, Q = diagnostics.theta_spectrum(H)
     l_theta = float(lam[-1])
     beta = _resolve_beta(cfg, l_theta)
     n, N = p.n, len(v)
-    state = rng.bit_generator.state
     Cq = beta * (H.T @ v / N - phase_noise(rng, sigma, n_inner, n)) @ Q
     lag = 1.0 - beta * lam
-    f_incoming = f_of(p.theta)
     lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
     sum_y = [0.0] * n
-    steps = 0
-    exited = False
     projected = []
-    for c in Cq.tolist():
+    for step, c in enumerate(Cq.tolist()):
         y = [g * yi + ci for g, yi, ci in zip(lag_l, y, c)]
         norm = math.hypot(*y)
         if norm > radius:
             y = [yi * (radius / norm) for yi in y]
-            projected.append(steps)
+            projected.append(step)
         sum_y = [s + yi for s, yi in zip(sum_y, y)]
-        steps += 1
-        if cfg.early_exit and f_of(Q @ np.divide(sum_y, steps)) <= f_incoming:
-            exited = True
-            break
-    theta_avg = Q @ np.divide(sum_y, steps)
-    if steps < n_inner:
-        rng.bit_generator.state = state
-        phase_noise(rng, sigma, steps, n)
+    theta_avg = Q @ np.divide(sum_y, n_inner)
     return theta_avg, InnerSummary(
-        steps=steps, beta=beta, l_theta=l_theta,
-        early_exit=exited), projected
+        steps=n_inner, beta=beta, l_theta=l_theta), projected
 
 
 class TestProxBall:
@@ -190,19 +174,18 @@ class TestInnerSgd:
     @given(st.integers(2, 6), st.integers(2, 30), st.integers(1, 300),
            st.sampled_from([0.0, 0.05, 0.7, 3.0]),
            st.sampled_from(["first", "mid", "never"]), st.floats(0.2, 0.95),
-           st.booleans(), st.integers(0, 2 ** 32 - 1))
+           st.integers(0, 2 ** 32 - 1))
     def test_matches_per_step_reference(self, d, N, n_inner, sigma, contact,
-                                        frac, early_exit, seed):
+                                        frac, seed):
         # the ball binds from the first step (R = 0.05), from a step inside
         # the phase, or never (R = 1e6); for "mid" the iterates grow from
         # theta = 0 and the radius is below the largest unprojected norm
         p, ds = random_instance(np.random.default_rng(seed), d=d, N=N)
         cfg = RunConfig(n_outer=1, n_inner=n_inner,
-                        R=1e6 if contact == "never" else 0.05, sigma=sigma,
-                        early_exit=early_exit)
+                        R=1e6 if contact == "never" else 0.05, sigma=sigma)
         if contact == "mid":
             p = replace(p, theta=np.zeros(p.n))
-            free = replace(cfg, R=1e6, early_exit=False)
+            free = replace(cfg, R=1e6)
             free_largest = reference_inner_sgd(p, SIG, ds, free,
                                                np.random.default_rng(seed))[2]
             cfg = replace(cfg, R=2.0 * frac * free_largest)
@@ -212,27 +195,29 @@ class TestInnerSgd:
         # relative to the iterates' scale: their average can cancel far below it
         scale = max(np.linalg.norm(theta_ref), largest)
         assert np.linalg.norm(theta - theta_ref) <= 1e-12 * scale
-        assert (summary.steps, summary.beta, summary.early_exit) == \
-            (ref.steps, ref.beta, ref.early_exit)
+        assert summary == ref
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
-    @pytest.mark.parametrize("early_exit", [False, True])
+    @pytest.mark.parametrize("blocked", [False, True])
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
     @pytest.mark.parametrize("contact", ["first", "mid", "never"])
-    def test_bits_match_running_sum(self, contact, sigma, early_exit):
-        # summing the iterates once after the phase adds each coordinate in
-        # the running sum's order, so theta, the summary and the generator
-        # agree bit for bit.  For "mid" the iterates grow from theta = 0 and
-        # the radius is below the largest unprojected norm
-        exits, first_contacts = 0, []
+    def test_bits_match_running_sum(self, monkeypatch, contact, sigma, blocked):
+        # folding each block's iterates once adds each coordinate in the
+        # running sum's order, and block-wise draws continue one another, so
+        # theta, the summary and the generator agree bit for bit, in one
+        # block or (blocked) in 7-row blocks, 6 to the phase.  For "mid" the
+        # iterates grow from theta = 0 and the radius is below the largest
+        # unprojected norm
+        if blocked:
+            monkeypatch.setattr(optimizer, "INNER_BLOCK", 7)
+        first_contacts = []
         for seed in range(8):
             p, ds = random_instance(np.random.default_rng(seed), d=3, N=9)
             cfg = RunConfig(n_outer=1, n_inner=40, sigma=sigma,
-                            R=1e6 if contact == "never" else 0.05,
-                            early_exit=early_exit)
+                            R=1e6 if contact == "never" else 0.05)
             if contact == "mid":
                 p = replace(p, theta=np.zeros(p.n))
-                free = replace(cfg, R=1e6, early_exit=False)
+                free = replace(cfg, R=1e6)
                 largest = reference_inner_sgd(p, SIG, ds, free,
                                               np.random.default_rng(seed))[2]
                 cfg = replace(cfg, R=1.2 * largest)
@@ -243,28 +228,20 @@ class TestInnerSgd:
             assert theta.tolist() == theta_old.tolist()
             assert summary == old
             assert rng_new.bit_generator.state == rng_old.bit_generator.state
-            exits += summary.early_exit
             first_contacts.append(projected[0] if projected else None)
-        assert early_exit == (exits > 0)
         if contact == "first":
             assert first_contacts == [0] * 8
         elif contact == "never":
             assert first_contacts == [None] * 8
         else:
-            # without noise, a first step from a feasible theta never raises
-            # f, so early exit stops every phase there, before any contact
-            assert 0 not in first_contacts
-            assert any(first_contacts) != (early_exit and sigma == 0.0)
+            assert all(first_contacts)   # inside the phase, after step 0
 
-    @pytest.mark.parametrize("early_exit", [False, True])
-    def test_blocks_leave_the_run_unchanged(self, monkeypatch, early_exit):
+    def test_blocks_leave_the_run_unchanged(self, monkeypatch):
         # with 7-row blocks a 25-step phase draws its noise in 4 calls
         # (7 + 7 + 7 + 4 rows) and folds its sums per block; the run is the
-        # same bits as with one block per phase.  Under early exit the second
-        # phase stops at step 14, the last of its second block
+        # same bits as with one block per phase
         ds = make_realizable(3, 9, seed=6)
-        cfg = RunConfig(n_outer=5, n_inner=25, sigma=0.5, early_exit=early_exit,
-                        seed=6)
+        cfg = RunConfig(n_outer=5, n_inner=25, sigma=0.5, seed=6)
         whole = run(SIG, ds, cfg)
         monkeypatch.setattr(optimizer, "INNER_BLOCK", 7)
         blocked = run(SIG, ds, cfg)
@@ -272,8 +249,7 @@ class TestInnerSgd:
         assert blocked[0].theta.tolist() == whole[0].theta.tolist()
         for column, values in whole[1].columns().items():
             np.testing.assert_array_equal(blocked[1].columns()[column], values)
-        assert whole[1].inner_steps.tolist() == (
-            [1, 14, 1, 4, 1, 0] if early_exit else [25] * 5 + [0])
+        assert whole[1].inner_steps.tolist() == [25] * 5 + [0]
 
     def test_memory_independent_of_n_inner(self):
         # a phase holds one block of noise rows and iterates at a time, so
@@ -304,19 +280,6 @@ class TestInnerSgd:
                 lipschitz_estimates(p, SIG, ds).l_theta_exact
             top = np.linalg.svd(H, compute_uv=False)[0]
             assert summary.l_theta == pytest.approx(top * top / len(H), rel=1e-13)
-
-    def test_early_exit_contract(self, rng):
-        ds = make_realizable(3, 9, seed=31)
-        for s in range(10):
-            inst = np.random.default_rng(s)
-            p = NetworkParams(inst.normal(size=(3, 3)), inst.normal(size=3))
-            f_in = model.loss(p, SIG, ds)
-            cfg = RunConfig(n_outer=1, n_inner=200, R=4.0, sigma=0.3,
-                            early_exit=True)
-            theta_av, summary = inner_sgd(p, SIG, ds, cfg, np.random.default_rng(s))
-            if summary.early_exit:
-                assert model.loss(NetworkParams(p.W, theta_av), SIG, ds) <= f_in
-                assert summary.steps < 200
 
 
 class TestOuterStep:
@@ -470,7 +433,7 @@ class TestRunConfig:
 
     def test_dict_round_trip(self):
         cfg = RunConfig(n_outer=5, n_inner=7, R=2.0, sigma=0.3, beta=0.01,
-                        gamma=0.05, early_exit=True, seed=9, init_w_scale=0.5)
+                        gamma=0.05, seed=9, init_w_scale=0.5)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         assert RunConfig.from_dict({}) == RunConfig()
 
@@ -560,9 +523,8 @@ class TestRun:
 
     @pytest.mark.parametrize("cfg", [
         RunConfig(n_outer=12, n_inner=6, sigma=0.4, seed=5),
-        RunConfig(n_outer=12, n_inner=8, sigma=0.4, early_exit=True, seed=2),
         RunConfig(n_outer=12, n_inner=1, theorem2_preset=True, seed=5),
-    ], ids=["noisy", "early_exit", "theorem2_preset"])
+    ], ids=["noisy", "theorem2_preset"])
     def test_uncertified_rows(self, cfg):
         ds = make_realizable(3, 9, seed=4)
         p1, r1 = run(SIG, ds, cfg)
