@@ -20,8 +20,11 @@ H, G, b and one eigendecomposition G = Q diag(lam) Q^T, whose lam[-1] is
 L_theta, once.  The steps run one at a time in G's eigenbasis, where
 I - beta G is the diagonal 1 - beta lam: each costs O(n) and touches none
 of the N samples, and a phase costs the same whether the ball binds at its
-first step or never.  The noise is drawn INNER_BLOCK steps at a time, so a
-phase's memory does not grow with n_inner.  The same eigenbasis gives the
+first step or never.  They run in a loop compiled once per width n
+(_inner_steps), which keeps each coordinate of the iterate and of its
+running sum in a local variable and adds each iterate onto the sum as it
+is taken.  The noise is drawn INNER_BLOCK steps at a time, so a phase's
+memory does not grow with n_inner.  The same eigenbasis gives the
 subproblem's exact (least-norm) minimizer over the ball (solve_theta_star).
 
 Step sizes: a beta or gamma left at None is derived; one that is given is
@@ -47,8 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import reduce
-from operator import add, mul
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -232,6 +234,30 @@ def _resolve_beta(cfg: RunConfig, l_theta: float) -> float:
     return 1.0 if not math.isfinite(beta) else beta  # zero-gradient degenerate case
 
 
+@lru_cache
+def _inner_steps(n: int):
+    """The inner phase's step loop at width n: steps(lag, y, s, Cq, radius)
+    returns (y, s) after, for each row c of Cq in turn, y <- lag * y + c,
+    y <- y * (radius / ||y||) where ||y|| = hypot(*y) > radius, and s += y,
+    one coordinate at a time.  Its source is built from n alone so that each
+    coordinate of lag, y and s is a local variable, which no loop over
+    lists or arrays matches in speed."""
+    l, y, s, c = ("".join(f"{v}{i}, " for i in range(n)) for v in "lysc")
+    source = "\n".join([
+        "def steps(lag, y, s, Cq, radius, hypot=hypot):",
+        f"    {l}= lag", f"    {y}= y", f"    {s}= s", f"    for {c}in Cq:",
+        *(f"        y{i} = l{i} * y{i} + c{i}" for i in range(n)),
+        f"        norm = hypot({y})",
+        "        if norm > radius:",
+        "            scale = radius / norm",
+        *(f"            y{i} *= scale" for i in range(n)),
+        *(f"        s{i} += y{i}" for i in range(n)),
+        f"    return ({y}), ({s})"])
+    namespace = {"hypot": math.hypot}
+    exec(compile(source, f"<inner steps, n={n}>", "exec"), namespace)
+    return namespace["steps"]
+
+
 def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
               cfg: RunConfig, rng: np.random.Generator):
     """Inner stochastic phase at fixed W; returns (theta_new, InnerSummary).
@@ -257,24 +283,13 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     lag = 1.0 - beta * lam
 
     # the steps run on Python floats: with n a handful of hidden units, a
-    # numpy call on an n-vector costs more than its arithmetic.  The
-    # projection is project_ball's, on lists.  Each block's ys are folded
-    # into sum_y in running-sum order (not by sum(), which compensates on
-    # Python 3.12+)
-    lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
-    sum_y = [0.0] * n
+    # numpy call on an n-vector costs more than its arithmetic
+    steps, lag_l = _inner_steps(n), lag.tolist()
+    y, sum_y = (p.theta @ Q).tolist(), [0.0] * n
     for start in range(0, n_inner, INNER_BLOCK):
         rows = min(INNER_BLOCK, n_inner - start)
         Cq = beta * (b - phase_noise(rng, sigma, rows, n)) @ Q
-        ys = []
-        for c in Cq.tolist():
-            y = list(map(add, map(mul, lag_l, y), c))
-            norm = math.hypot(*y)
-            if norm > radius:
-                scale = radius / norm
-                y = [yi * scale for yi in y]
-            ys.append(y)
-        sum_y = [reduce(add, col, s) for s, col in zip(sum_y, zip(*ys))]
+        y, sum_y = steps(lag_l, y, sum_y, Cq.tolist(), radius)
     theta_avg = Q @ np.divide(sum_y, n_inner)
     return theta_avg, InnerSummary(steps=n_inner, beta=beta, l_theta=l_theta)
 

@@ -198,21 +198,27 @@ class TestInnerSgd:
         assert summary == ref
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
-    @pytest.mark.parametrize("blocked", [False, True])
+    # the width d rides on blocked's id, so that d = 3 keeps the bare
+    # [contact-sigma-blocked] ids and the other widths add "-d<d>"
+    @pytest.mark.parametrize("blocked, d", [
+        pytest.param(blocked, d, id=f"{blocked}{'' if d == 3 else f'-d{d}'}")
+        for d in (1, 2, 3, 10) for blocked in (False, True)])
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
     @pytest.mark.parametrize("contact", ["first", "mid", "never"])
-    def test_bits_match_running_sum(self, monkeypatch, contact, sigma, blocked):
-        # folding each block's iterates once adds each coordinate in the
-        # running sum's order, and block-wise draws continue one another, so
-        # theta, the summary and the generator agree bit for bit, in one
-        # block or (blocked) in 7-row blocks, 6 to the phase.  For "mid" the
-        # iterates grow from theta = 0 and the radius is below the largest
-        # unprojected norm
+    def test_bits_match_running_sum(self, monkeypatch, contact, sigma, blocked,
+                                    d):
+        # the width-n step kernel does the list loop's arithmetic in its
+        # order, and block-wise draws continue one another, so theta, the
+        # summary and the generator agree bit for bit at every width, in one
+        # block or (blocked) in 7-row blocks, 6 to the phase, which carry y
+        # and the sum.  For "mid" the iterates grow from theta = 0 and the
+        # radius is below the largest unprojected norm
         if blocked:
             monkeypatch.setattr(optimizer, "INNER_BLOCK", 7)
         first_contacts = []
         for seed in range(8):
-            p, ds = random_instance(np.random.default_rng(seed), d=3, N=9)
+            p, ds = random_instance(np.random.default_rng(seed), d=d, N=9,
+                                    square=True)
             cfg = RunConfig(n_outer=1, n_inner=40, sigma=sigma,
                             R=1e6 if contact == "never" else 0.05)
             if contact == "mid":
@@ -238,8 +244,8 @@ class TestInnerSgd:
 
     def test_blocks_leave_the_run_unchanged(self, monkeypatch):
         # with 7-row blocks a 25-step phase draws its noise in 4 calls
-        # (7 + 7 + 7 + 4 rows) and folds its sums per block; the run is the
-        # same bits as with one block per phase
+        # (7 + 7 + 7 + 4 rows) and carries y and its sum across them; the
+        # run is the same bits as with one block per phase
         ds = make_realizable(3, 9, seed=6)
         cfg = RunConfig(n_outer=5, n_inner=25, sigma=0.5, seed=6)
         whole = run(SIG, ds, cfg)
@@ -252,8 +258,8 @@ class TestInnerSgd:
         assert whole[1].inner_steps.tolist() == [25] * 5 + [0]
 
     def test_memory_independent_of_n_inner(self):
-        # a phase holds one block of noise rows and iterates at a time, so
-        # four blocks' worth of steps peak where one block does
+        # a phase holds one block of noise rows at a time, so four blocks'
+        # worth of steps peak where one block does
         p, ds = random_instance(np.random.default_rng(0), d=3, n=3, N=9)
 
         def traced_peak(n_inner):
