@@ -14,6 +14,6 @@ from .model import (NetworkParams, StationaritySystem, forward, grad_theta,
                     grad_W, loss, random_params, residuals,
                     stationarity_system)
 from .optimizer import (RunConfig, TrajectoryRecord, inner_sgd, outer_step,
-                        project_ball, prox_ball, run, solve_theta_star)
+                        project_ball, run, solve_theta_star)
 
 __version__ = "0.1.0"

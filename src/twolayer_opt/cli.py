@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 import traceback
@@ -312,6 +313,11 @@ def cmd_plotdata(args) -> int:
     traj_paths = sorted(run_dir.glob("*.trajectory.csv"))
     if not traj_paths:
         raise IoError(f"no *.trajectory.csv files under {run_dir}")
+    names = sorted({re.sub(r"(_rep\d+)?\.trajectory\.csv$", "", p.name)
+                    for p in traj_paths})   # <name>_rep<k>.trajectory.csv
+    if len(names) > 1:
+        raise ConfigError(f"{run_dir} holds the runs {', '.join(names)}; "
+                          "plotdata averages the repetitions of one run")
     runs = [read_trajectory_csv(p) for p in traj_paths]
     k = runs[0]["k"]   # the repetitions are averaged row by row under it
     for path, run in zip(traj_paths[1:], runs[1:]):

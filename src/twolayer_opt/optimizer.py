@@ -4,8 +4,9 @@ Each outer iteration runs an inner stochastic-gradient phase on the convex
 theta-subproblem (N_i prox steps onto the ball ||theta|| <= R/2, with
 beta-weighted iterate averaging), then takes a single full-gradient descent
 step on the hidden layer W (outer_step).  A run starts from
-model.random_params with theta projected into the ball; project_ball is the
-one projection onto the ball, and prox_ball the prox step built on it.
+model.random_params with theta projected into the ball by project_ball; the
+inner phase's prox step, P_x(y) = P_ball(x - y), is the projection inside
+its compiled step loop (_inner_steps).
 Each iterate's trajectory row is its diagnostics.certificate, built from the
 stationarity system and the gradient that the W step uses, plus
 svd_rank(W).sigma_min; TrajectoryRecord declares each column once.  A
@@ -36,7 +37,8 @@ used, after a check of its bound.
     worst case over the feasible ball (constant across iterations); a given
     gamma must satisfy 0 < gamma < 2/L.
   * theorem2_preset derives N_i = N_o, sigma = 1/sqrt(N_i), gamma = 1/L,
-    and beta from that N_i and sigma, so it rejects a given beta or gamma.
+    and beta from that N_i and sigma, so it rejects a given N_i, sigma,
+    beta or gamma (one equal to its default cannot be told from none).
 
 Runs are bit-reproducible from (config, dataset): all randomness flows from
 one seeded generator, drawn in a fixed order.
@@ -117,9 +119,11 @@ class RunConfig:
             step = getattr(self, name)
             if step is not None and not step > 0:
                 raise ConfigError(f"{name} must be positive, got {step}")
-            if step is not None and self.theorem2_preset:
-                raise ConfigError(f"theorem2_preset derives {name}; "
-                                  f"{name}={step} cannot be given with it")
+        for key in ("N_i", "sigma", "beta", "gamma") if self.theorem2_preset else ():
+            name = RUN_KEYS[key][0]   # the preset derives it: only its default
+            if getattr(self, name) != getattr(RunConfig, name):
+                raise ConfigError(f"theorem2_preset derives {key}; "
+                                  f"{key}={getattr(self, name)} cannot be given with it")
         if self.theorem2_preset and self.n_outer < 1:
             raise ConfigError("theorem2_preset needs n_outer >= 1")
 
@@ -150,7 +154,6 @@ class RunConfig:
 
 @dataclass
 class InnerSummary:
-    steps: int
     beta: float
     l_theta: float
 
@@ -195,18 +198,6 @@ def project_ball(z: np.ndarray, radius: float) -> np.ndarray:
     if norm <= radius:
         return z
     return z * (radius / norm)
-
-
-def prox_ball(x, y, radius: float) -> np.ndarray:
-    """Prox-mapping P_x(y) over the origin-centred ball: the projection of
-    x - y onto {z : ||z||_2 <= radius}."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ShapeError(f"x and y must be equal-length vectors, got {x.shape}, {y.shape}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    return project_ball(x - y, radius)
 
 
 def phase_noise(rng: np.random.Generator, sigma: float, steps: int,
@@ -291,7 +282,7 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
         Cq = beta * (b - phase_noise(rng, sigma, rows, n)) @ Q
         y, sum_y = steps(lag_l, y, sum_y, Cq.tolist(), radius)
     theta_avg = Q @ np.divide(sum_y, n_inner)
-    return theta_avg, InnerSummary(steps=n_inner, beta=beta, l_theta=l_theta)
+    return theta_avg, InnerSummary(beta=beta, l_theta=l_theta)
 
 
 def _check_gamma(gamma: float, lipschitz_bound: float) -> None:
@@ -360,12 +351,15 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
 
     n_outer = cfg.n_outer
     if cfg.theorem2_preset:   # the inner phases' N_i and sigma
-        cfg = replace(cfg, n_inner=n_outer, sigma=1.0 / math.sqrt(n_outer))
+        cfg = replace(cfg, theorem2_preset=False, n_inner=n_outer,
+                      sigma=1.0 / math.sqrt(n_outer))
 
     L_ball = lipschitz_ball_bound(a, ds, cfg.R)
     gamma = cfg.gamma
     if gamma is None:
         gamma = 1.0 if L_ball == 0.0 else 1.0 / L_ball
+        if gamma == math.inf:
+            raise NumericsError(f"the W step 1/L overflows at L={L_ball}, R={cfg.R}")
     _check_gamma(gamma, L_ball)
 
     params = random_params(rng, ds.dim, cfg.init_w_scale, cfg.init_theta_scale)
@@ -376,7 +370,7 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
     rows = []   # one {TrajectoryRecord field: value} per row
     spectrum = {}   # rows per column_sigma_extremes route
 
-    def record(k, p, summary, certified):
+    def record(k, p, inner_steps, certified):
         g = grad_W(p, a, ds)
         if certified:
             cert = certificate(stationarity_system(p, a, ds), g)
@@ -390,18 +384,18 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
         if not all(math.isfinite(row[name]) for name in
                    (CERTIFICATE_FIELDS if certified else ("grad_norm",))):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
-        rows.append(dict(row, k=k, inner_steps=summary.steps if summary else 0))
+        rows.append(dict(row, k=k, inner_steps=inner_steps))
         return g
 
     for k in range(n_outer):
-        theta, summary = inner_sgd(params, a, ds, cfg, rng)
+        theta, _ = inner_sgd(params, a, ds, cfg, rng)
         if not np.isfinite(theta).all():
             raise NumericsError(f"non-finite theta at outer iteration {k}")
         params = NetworkParams._derived(params.W, theta)
-        g = record(k, params, summary, certify_rows)
+        g = record(k, params, cfg.n_inner, certify_rows)
         params = outer_step(params, g, gamma, L_ball)
 
-    record(n_outer, params, None, True)
+    record(n_outer, params, 0, True)
 
     trajectory = TrajectoryRecord(
         **{name: np.array([row[name] for row in rows])

@@ -32,6 +32,17 @@ def svd_spectrum(M):
         sigma_min, sigma_max, "svd", sigma_min > diagnostics.RANK_TOL * sigma_max)
 
 
+def prox_step(x, y, radius):
+    """The prox-mapping P_x(y) = P_ball(x - y) as the trainer computes it:
+    one step of inner_sgd's compiled loop (optimizer._inner_steps) from the
+    iterate x with lag 1 and c = -y, since 1.0 * x + (-y) is x - y exactly."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(x)
+    out, _ = optimizer._inner_steps(n)([1.0] * n, x.tolist(), [0.0] * n,
+                                       [(-y).tolist()], radius)
+    return np.array(out)
+
+
 def reference_inner_sgd(p, a, ds, cfg, rng):
     """Reference inner SGD phase, one step at a time on the N samples: the
     exact theta-gradient on H plus a fresh N(0, sigma^2/n) draw of n
@@ -52,13 +63,12 @@ def reference_inner_sgd(p, a, ds, cfg, rng):
         g = -(H.T @ (v - H @ theta_bar)) / len(v)
         if sigma > 0.0:
             g = g + rng.normal(0.0, sigma / math.sqrt(g.size), size=g.size)
-        theta_bar = optimizer.prox_ball(theta_bar, beta * g, radius)
+        theta_bar = optimizer.project_ball(theta_bar - beta * g, radius)
         largest = max(largest, float(np.linalg.norm(theta_bar)))
         sum_w += beta
         sum_wtheta = sum_wtheta + beta * theta_bar
     theta_avg = sum_wtheta / sum_w
-    return theta_avg, optimizer.InnerSummary(
-        steps=n_inner, beta=beta, l_theta=l_theta), largest
+    return theta_avg, optimizer.InnerSummary(beta=beta, l_theta=l_theta), largest
 
 
 def random_instance(rng, d=None, n=None, N=None, square=False):

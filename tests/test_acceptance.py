@@ -5,11 +5,11 @@ lines; every criterion is asserted at its stated tolerance and scale.
 """
 
 import numpy as np
-from conftest import rel_err
+from conftest import prox_step, rel_err
 
 from twolayer_opt import (RunConfig, builtin_activation, certify,
                           collection_rank, make_realizable, model,
-                          perturbation_rank_trial, prox_ball, run, verify)
+                          perturbation_rank_trial, run, verify)
 
 SIG = builtin_activation("sigmoid")
 
@@ -152,7 +152,7 @@ def test_criterion_11_prox_properties():
         x = rng.normal(size=n) * rng.uniform(0.1, 5.0)
         y = rng.normal(size=n) * rng.uniform(0.1, 5.0)
         radius = rng.uniform(0.05, 5.0)
-        out = prox_ball(x, y, radius)
+        out = prox_step(x, y, radius)   # the trainer's prox step
         feasible_ok &= np.linalg.norm(out) <= radius * (1 + 1e-12)
 
         z = rng.normal(size=(100, n))

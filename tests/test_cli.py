@@ -134,6 +134,33 @@ class TestTrain:
         assert derived["sigma"] == pytest.approx(1.0 / np.sqrt(6))
         assert derived["gamma"] == pytest.approx(1.0 / derived["L_ball"])
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--n-inner", "50", "N_i"), ("--sigma", "0.7", "sigma")])
+    def test_theorem2_preset_refuses_a_derived_flag(self, tmp_path, capsys,
+                                                    flag, value, key):
+        # the preset derives N_i and sigma, as it derives beta and gamma
+        out = tmp_path / "runs"
+        assert run_cli("train", "--d", "3", "--n-samples", "9", "--theorem2-preset",
+                       flag, value, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: theorem2_preset derives {key}; {key}={value} cannot be "
+            "given with it\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("N_i", 50), ("sigma", 0.7)])
+    def test_theorem2_preset_refuses_a_derived_key(self, tmp_path, capsys,
+                                                   key, value):
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text(json.dumps(
+            {"run": {key: value, "theorem2_preset": True}}))
+        out = tmp_path / "runs"
+        assert run_cli("train", "--d", "3", "--n-samples", "9",
+                       "--config", str(cfg_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: theorem2_preset derives {key}; {key}={value} cannot be "
+            "given with it\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, deficient_rows, routes", [
         # W = 0, then two small steps from it
         (["--w-scale", "0"], 3, {"svd": 3}),
@@ -326,6 +353,18 @@ def test_sigma_overflow(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err == ("numeric failure: Numerical result out of range "
                    "in optimizer._resolve_beta\n")
+
+
+def test_derived_gamma_overflow(tmp_path, capsys):
+    # at R = 1e-320 the W-smoothness bound L is subnormal, and the derived
+    # W step 1/L overflows: a numeric failure, not a gamma never given
+    out = tmp_path / "runs"
+    assert run_cli("train", "--d", "3", "--n-samples", "9", "--r-ball", "1e-320",
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "L=" in err and "R=1e-320" in err and "gamma" not in err
+    assert not out.exists()
 
 
 def test_sigma_underflow(tmp_path, capsys):
@@ -673,6 +712,19 @@ class TestPlotdata:
         assert run_cli("plotdata", "--run-dir", str(runs)) == 2
         err = capsys.readouterr().err
         assert str(path) in err and err.count("\n") == 1
+        assert not (runs / "plotdata").exists()
+
+    def test_runs_of_two_names_refused(self, tmp_path, capsys):
+        # plotdata averages the repetitions of one run, never two runs
+        runs = self._train(tmp_path, reps=2)
+        run_cli("train", "--data", str(tmp_path / "demo.csv"), "--out", str(runs),
+                "--name", "b", "--n-outer", "6", "--sigma", "0.5",
+                "--activation", "tanh")
+        capsys.readouterr()
+        assert run_cli("plotdata", "--run-dir", str(runs)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {runs} holds the runs b, r; plotdata averages the "
+            "repetitions of one run\n")
         assert not (runs / "plotdata").exists()
 
     def test_multiseed_aggregates(self, tmp_path):

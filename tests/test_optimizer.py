@@ -6,15 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import (fitted_labels, random_instance, reference_inner_sgd,
-                      rel_err, svd_extremes, svd_spectrum)
+from conftest import (fitted_labels, prox_step, random_instance,
+                      reference_inner_sgd, rel_err, svd_extremes, svd_spectrum)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolayer_opt import (ConfigError, NetworkParams, NumericsError,
                           RunConfig, ShapeError, builtin_activation, certify,
                           inner_sgd, diagnostics, make_realizable, model,
-                          optimizer, outer_step, project_ball, prox_ball,
+                          optimizer, outer_step, project_ball,
                           random_params, run, solve_theta_star, svd_rank)
 from twolayer_opt.diagnostics import (lipschitz_ball_bound, lipschitz_estimates,
                                       theta_spectrum)
@@ -49,30 +49,25 @@ def running_sum_inner_sgd(p, a, ds, cfg, rng):
             projected.append(step)
         sum_y = [s + yi for s, yi in zip(sum_y, y)]
     theta_avg = Q @ np.divide(sum_y, n_inner)
-    return theta_avg, InnerSummary(
-        steps=n_inner, beta=beta, l_theta=l_theta), projected
+    return theta_avg, InnerSummary(beta=beta, l_theta=l_theta), projected
 
 
 class TestProxBall:
+    # the prox step onto the ball as inner_sgd takes it (conftest.prox_step)
     def test_origin_fixed_point(self):
-        np.testing.assert_array_equal(prox_ball(np.zeros(2), np.zeros(2), 1.0),
+        np.testing.assert_array_equal(prox_step(np.zeros(2), np.zeros(2), 1.0),
                                       np.zeros(2))
 
     def test_radial_projection(self):
         np.testing.assert_allclose(
-            prox_ball(np.array([2.0, 0.0]), np.zeros(2), 1.0), [1.0, 0.0])
+            prox_step(np.array([2.0, 0.0]), np.zeros(2), 1.0), [1.0, 0.0])
 
     def test_interior_identity(self, rng):
         for _ in range(50):
             x = rng.normal(size=4)
             y = rng.normal(size=4)
             radius = np.linalg.norm(x - y) + rng.uniform(0.1, 1.0)
-            np.testing.assert_array_equal(prox_ball(x, y, radius), x - y)
-
-    def test_shape_mismatch(self):
-        from twolayer_opt import ShapeError
-        with pytest.raises(ShapeError):
-            prox_ball(np.zeros(2), np.zeros(3), 1.0)
+            np.testing.assert_array_equal(prox_step(x, y, radius), x - y)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6),
@@ -80,7 +75,7 @@ class TestProxBall:
            st.floats(0.01, 20.0))
     def test_feasibility_property(self, xs, ys, radius):
         k = min(len(xs), len(ys))
-        out = prox_ball(np.array(xs[:k]), np.array(ys[:k]), radius)
+        out = prox_step(np.array(xs[:k]), np.array(ys[:k]), radius)
         assert np.linalg.norm(out) <= radius * (1 + 1e-12)
 
     def test_projection_optimality(self, rng):
@@ -89,7 +84,7 @@ class TestProxBall:
             n = int(rng.integers(1, 6))
             x, y = rng.normal(size=n) * 2, rng.normal(size=n) * 2
             radius = rng.uniform(0.1, 3.0)
-            out = prox_ball(x, y, radius)
+            out = prox_step(x, y, radius)
 
             def objective(z):
                 return float(y @ (z - x) + 0.5 * np.sum((z - x) ** 2))
@@ -136,9 +131,8 @@ class TestInnerSgd:
         assert np.linalg.norm(theta_star) < R / 2
         start = NetworkParams(p.W, theta_star)
         cfg = RunConfig(n_outer=1, n_inner=25, R=R, sigma=0.0)
-        theta_av, summary = inner_sgd(start, SIG, ds, cfg, np.random.default_rng(0))
+        theta_av, _ = inner_sgd(start, SIG, ds, cfg, np.random.default_rng(0))
         np.testing.assert_allclose(theta_av, theta_star, rtol=1e-12, atol=1e-14)
-        assert summary.steps == 25
 
     def test_noiseless_k0_bound(self, rng):
         p, ds = random_instance(rng, d=3, n=3, N=9)
@@ -428,11 +422,11 @@ class TestRunConfig:
             RunConfig(n_outer=1, n_inner=1, beta=0.0)
         with pytest.raises(ConfigError):
             RunConfig(n_outer=1, n_inner=1, gamma=-0.1)
-        # the preset derives both step sizes
-        with pytest.raises(ConfigError):
-            RunConfig(n_outer=1, n_inner=1, theorem2_preset=True, beta=0.1)
-        with pytest.raises(ConfigError):
-            RunConfig(n_outer=1, n_inner=1, theorem2_preset=True, gamma=0.1)
+        # the preset derives N_i, sigma and both step sizes
+        with pytest.raises(ConfigError, match="derives beta"):
+            RunConfig(n_outer=1, theorem2_preset=True, beta=0.1)
+        with pytest.raises(ConfigError, match="derives gamma"):
+            RunConfig(n_outer=1, theorem2_preset=True, gamma=0.1)
         # a key that nothing reads, such as the old step-size policies
         with pytest.raises(ConfigError, match="'beta_policy'"):
             RunConfig.from_dict({"N_o": 3, "N_i": 2, "beta_policy": "fixed"})
@@ -529,7 +523,7 @@ class TestRun:
 
     @pytest.mark.parametrize("cfg", [
         RunConfig(n_outer=12, n_inner=6, sigma=0.4, seed=5),
-        RunConfig(n_outer=12, n_inner=1, theorem2_preset=True, seed=5),
+        RunConfig(n_outer=12, theorem2_preset=True, seed=5),
     ], ids=["noisy", "theorem2_preset"])
     def test_uncertified_rows(self, cfg):
         ds = make_realizable(3, 9, seed=4)
@@ -617,7 +611,7 @@ class TestRun:
 
     def test_theorem2_preset_derivation(self):
         ds = make_realizable(3, 9, seed=4)
-        cfg = RunConfig(n_outer=10, n_inner=1, theorem2_preset=True, seed=1)
+        cfg = RunConfig(n_outer=10, theorem2_preset=True, seed=1)
         _, rec = run(SIG, ds, cfg)
         assert rec.derived["n_inner"] == 10
         assert rec.derived["sigma"] == pytest.approx(1.0 / np.sqrt(10))
@@ -631,7 +625,7 @@ class TestRun:
         ds = make_realizable(3, 9, seed=4, activation="gaussian")
         n_o = 12
         common = dict(n_outer=n_o, seed=2, init_w_scale=10.0)
-        p1, r1 = run(gauss, ds, RunConfig(n_inner=1, theorem2_preset=True, **common))
+        p1, r1 = run(gauss, ds, RunConfig(theorem2_preset=True, **common))
         p2, r2 = run(gauss, ds, RunConfig(n_inner=n_o, sigma=1.0 / np.sqrt(n_o),
                                           **common))
         np.testing.assert_array_equal(p1.W, p2.W)
