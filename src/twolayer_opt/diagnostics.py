@@ -16,7 +16,8 @@ place this arithmetic is done: certify applies it at a point, and
 optimizer.run at every iterate, from the stationarity system and gradient
 it already holds.  "Full rank" statements about random feature collections
 are probed by Monte-Carlo at an SVD tolerance; they admit no finite
-certificate.
+certificate.  theta_subproblem forms the theta-subproblem at fixed W for
+the inner SGD phase, solve_theta_star and lipschitz_estimates' L_theta.
 """
 
 from __future__ import annotations
@@ -142,29 +143,27 @@ def svd_rank(M) -> RankReport:
 
 def collection_rank(a: ActivationFunction, W, inputs) -> RankReport:
     """Rank report for the collection {h(W u_i) u_i^T}: the (d^2, N) matrix
-    whose column i is vect(h(W u_i) u_i^T), for a square W."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2:
-        raise ShapeError(f"inputs must be (N, d), got shape {inputs.shape}")
-    d = inputs.shape[1]
+    whose column i is vect(h(W u_i) u_i^T), for a square W.  _features
+    checks that the inputs are (N, d)."""
     W = np.asarray(W, dtype=float)
-    if W.shape != (d, d):
-        raise ShapeError(
-            f"W must be ({d}, {d}) for {d}-dimensional inputs, got {W.shape}")
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ShapeError(f"W must be square, got shape {W.shape}")
     U, _, H = _features(a, W, inputs)
     return svd_rank(khatri_rao(H, U))
 
 
-def theta_spectrum(features: np.ndarray):
-    """(lam, Q) with G = Q diag(lam) Q^T, lam ascending, for the Hessian
-    G = H^T H / N of the theta-subproblem with feature matrix H (rows
-    h(W u_i)).  A non-finite G (features too large to square) raises
-    NumericsError before the eigendecomposition."""
-    features = np.asarray(features, dtype=float)
-    G = features.T @ features / features.shape[0]
+def theta_subproblem(p: NetworkParams, a: ActivationFunction, ds: "Dataset"):
+    """(lam, Q, b) of the convex theta-subproblem at p's W, whose features
+    are H = h(U W^T): its Hessian G = H^T H / N = Q diag(lam) Q^T, lam
+    ascending (lam[-1] is L_theta), and its linear term b = H^T v / N.  A
+    non-finite G (features too large to square) raises NumericsError
+    before the eigendecomposition."""
+    _, _, H = _features(a, p.W, ds.inputs)
+    G = H.T @ H / len(H)
     if not np.isfinite(G).all():
         raise NumericsError("non-finite theta-subproblem Hessian H^T H / N")
-    return np.linalg.eigh(G)
+    lam, Q = np.linalg.eigh(G)
+    return lam, Q, H.T @ ds.labels / len(H)
 
 
 def _w_smoothness(a: ActivationFunction, ds: "Dataset", theta_max: float,
@@ -199,12 +198,11 @@ def lipschitz_estimates(p: NetworkParams, a: ActivationFunction,
     theta_max = float(np.max(np.abs(p.theta)))
     theta_norm = float(np.linalg.norm(p.theta))
     l_w, sum_u2_absv, sum_u2 = _w_smoothness(a, ds, theta_max, theta_norm)
-    _, _, H = _features(a, p.W, ds.inputs)
     l_theta_analytic = (
         a.value_bound ** 2 * p.n if a.value_bound is not None else None)
     return LipschitzEstimate(
         l_w_bound=l_w,
-        l_theta_exact=float(theta_spectrum(H)[0][-1]),
+        l_theta_exact=float(theta_subproblem(p, a, ds)[0][-1]),
         l_theta_bound_analytic=l_theta_analytic,
         inputs_summary={
             "theta_max": theta_max,

@@ -148,14 +148,14 @@ class KhatriRao:
 
 
 def _residual_pass(p: NetworkParams, a: ActivationFunction, ds: "Dataset"):
-    """_features' U and Z, and the residuals s_i = v_i - theta^T h(W u_i)."""
+    """_features' U, Z and H, and the residuals s_i = v_i - theta^T h(W u_i)."""
     U, Z, H = _features(a, p.W, ds.inputs)
-    return U, Z, ds.labels - H @ p.theta
+    return U, Z, H, ds.labels - H @ p.theta
 
 
 def residuals(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """s_i = v_i - theta^T h(W u_i)."""
-    return _residual_pass(p, a, ds)[2]
+    return _residual_pass(p, a, ds)[-1]
 
 
 def objective(s: np.ndarray) -> float:
@@ -169,13 +169,13 @@ def loss(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> float:
 
 def grad_theta(p: NetworkParams, a: ActivationFunction, ds: "Dataset") -> np.ndarray:
     """Exact gradient of f in theta: -(1/N) sum_i s_i h(W u_i)."""
-    _, _, H = _features(a, p.W, ds.inputs)
-    return -(H.T @ (ds.labels - H @ p.theta)) / len(ds.labels)
+    _, _, H, s = _residual_pass(p, a, ds)
+    return -(H.T @ s) / len(s)
 
 
 def _deriv_pass(p: NetworkParams, a: ActivationFunction, ds: "Dataset"):
     """_features' U, D's factor A = h'(Z) theta (N, n) and the residuals s."""
-    U, Z, s = _residual_pass(p, a, ds)
+    U, Z, _, s = _residual_pass(p, a, ds)
     return U, np.asarray(a.deriv(Z), dtype=float) * p.theta[None, :], s
 
 

@@ -16,16 +16,16 @@ holds the W step's grad_norm and NaN in the other certificate columns.
 
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
-theta <- P_ball((I - beta G) theta + beta (b - xi_t)).  The phase computes
-H, G, b and one eigendecomposition G = Q diag(lam) Q^T, whose lam[-1] is
-L_theta, once.  The steps run one at a time in G's eigenbasis, where
-I - beta G is the diagonal 1 - beta lam: each costs O(n) and touches none
-of the N samples, and a phase costs the same whether the ball binds at its
-first step or never.  They run in a loop compiled once per width n
-(_inner_steps), which keeps each coordinate of the iterate and of its
-running sum in a local variable and adds each iterate onto the sum as it
-is taken.  The noise is drawn INNER_BLOCK steps at a time, so a phase's
-memory does not grow with n_inner.  The same eigenbasis gives the
+theta <- P_ball((I - beta G) theta + beta (b - xi_t)).  The phase takes b
+and G = Q diag(lam) Q^T, whose lam[-1] is L_theta, once from
+diagnostics.theta_subproblem, and takes its steps one at a time in G's
+eigenbasis, where I - beta G is the diagonal 1 - beta lam: each costs O(n)
+and touches none of the N samples, and a phase costs the same whether the
+ball binds at its first step or never.  They run in a loop compiled once
+per width n (_inner_steps), which keeps each coordinate of the iterate and
+of its running sum in a local variable and adds each iterate onto the sum
+as it is taken.  The noise is drawn INNER_BLOCK steps at a time, so a
+phase's memory does not grow with n_inner.  The same eigenbasis gives the
 subproblem's exact (least-norm) minimizer over the ball (solve_theta_star).
 
 Step sizes: a beta or gamma left at None is derived; one that is given is
@@ -59,10 +59,10 @@ import numpy as np
 
 from .activations import ActivationFunction
 from .diagnostics import (certificate, l2_norm, lipschitz_ball_bound,
-                          svd_rank, theta_spectrum)
+                          svd_rank, theta_subproblem)
 from .errors import ConfigError, NumericsError, ShapeError
 from .files import check_keys, json_field
-from .model import (NetworkParams, _features, grad_W, loss, random_params,
+from .model import (NetworkParams, grad_W, loss, random_params,
                     stationarity_system)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,6 +78,9 @@ RUN_KEYS = {
 }
 INIT_KEYS = {"W_scale": ("init_w_scale", float),
              "theta_scale": ("init_theta_scale", float)}
+# the run keys theorem2_preset derives: given only at their defaults, and
+# left out of a preset config's to_dict
+PRESET_KEYS = ("N_i", "sigma", "beta", "gamma")
 INNER_BLOCK = 4096   # inner steps per phase_noise draw: a phase's memory bound
 
 
@@ -119,8 +122,8 @@ class RunConfig:
             step = getattr(self, name)
             if step is not None and not step > 0:
                 raise ConfigError(f"{name} must be positive, got {step}")
-        for key in ("N_i", "sigma", "beta", "gamma") if self.theorem2_preset else ():
-            name = RUN_KEYS[key][0]   # the preset derives it: only its default
+        for key in PRESET_KEYS if self.theorem2_preset else ():
+            name = RUN_KEYS[key][0]
             if getattr(self, name) != getattr(RunConfig, name):
                 raise ConfigError(f"theorem2_preset derives {key}; "
                                   f"{key}={getattr(self, name)} cannot be given with it")
@@ -128,8 +131,10 @@ class RunConfig:
             raise ConfigError("theorem2_preset needs n_outer >= 1")
 
     def to_dict(self) -> dict:
+        skip = PRESET_KEYS if self.theorem2_preset else ()
         def section(keys):
-            return {key: getattr(self, name) for key, (name, _) in keys.items()}
+            return {key: getattr(self, name)
+                    for key, (name, _) in keys.items() if key not in skip}
         return {**section(RUN_KEYS), "init": section(INIT_KEYS)}
 
     @classmethod
@@ -255,23 +260,20 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
 
     theta_new is the beta-weighted average of the n_inner prox iterates.
     Step t is theta <- P_ball((I - beta G) theta + beta (b - xi_t)) (see
-    the module docstring), taken in G's eigenbasis, where I - beta G is
-    diagonal.  Each block of INNER_BLOCK steps draws its phase_noise in one
-    call.
+    the module docstring), taken in G's eigenbasis from theta_subproblem,
+    where I - beta G is diagonal.  Each block of INNER_BLOCK steps draws
+    its phase_noise in one call.
     """
     n_inner, sigma, radius = cfg.n_inner, cfg.sigma, cfg.R / 2.0
 
-    _, _, H = _features(a, p.W, ds.inputs)   # fixed during the phase
-    v = ds.labels
-    lam, Q = theta_spectrum(H)
+    lam, Q, b = theta_subproblem(p, a, ds)   # fixed during the phase
     l_theta = float(lam[-1])
     beta = _resolve_beta(cfg, l_theta)
 
     # in G's eigenbasis y = Q^T theta a step is y <- P_ball(lag * y + Cq[t]),
     # with lag = 1 - beta lam in [1/2, 1]; Q is orthogonal, so y has theta's
     # norm and projecting y projects theta
-    n, b = p.n, H.T @ v / len(v)
-    lag = 1.0 - beta * lam
+    n, lag = p.n, 1.0 - beta * lam
 
     # the steps run on Python floats: with n a handful of hidden units, a
     # numpy call on an n-vector costs more than its arithmetic
@@ -312,14 +314,13 @@ def solve_theta_star(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     """Exact minimizer theta* of the convex theta-subproblem over the ball
     ||theta|| <= radius, by the trust-region step of Moré and Sorensen
     ("Computing a trust region step", SIAM J. Sci. Stat. Comput. 4, 1983)
-    in theta_spectrum's eigenbasis G = Q diag(lam) Q^T: theta* = Q y(mu),
-    y(mu) = c / (lam + mu) with c = Q^T H^T v / N (0 where c_i = 0), for the
+    in theta_subproblem's eigenbasis G = Q diag(lam) Q^T: theta* = Q y(mu),
+    y(mu) = c / (lam + mu) with c = Q^T b (0 where c_i = 0), for the
     least mu >= m = max(0, -lam_min) that puts y(mu) in the ball: m, or the
     root of ||y(mu)|| = radius bisected on [m, m + ||c|| / radius].  c lies
     in range(G), so it is 0 where lam_i <= n eps lam_max: least-norm theta*."""
-    _, _, H = _features(a, p.W, ds.inputs)
-    lam, Q = theta_spectrum(H)
-    c = (H.T @ ds.labels / len(ds.labels)) @ Q
+    lam, Q, b = theta_subproblem(p, a, ds)
+    c = b @ Q
     c[lam <= len(lam) * np.finfo(float).eps * lam[-1]] = 0.0
 
     @np.errstate(divide="ignore", over="ignore")   # c_i / 0 is an inf entry

@@ -5,7 +5,6 @@ import pytest
 
 from twolayer_opt import (Dataset, NetworkParams, Provenance, diagnostics,
                           optimizer)
-from twolayer_opt.diagnostics import theta_spectrum
 from twolayer_opt.verify import rel_err  # noqa: F401  (re-exported to the tests)
 
 
@@ -53,7 +52,7 @@ def reference_inner_sgd(p, a, ds, cfg, rng):
     radius = cfg.R / 2.0
     H = np.asarray(a.eval(np.asarray(ds.inputs) @ p.W.T), dtype=float)
     v = np.asarray(ds.labels, dtype=float)
-    l_theta = float(theta_spectrum(H)[0][-1])
+    l_theta = float(np.linalg.eigh(H.T @ H / len(H))[0][-1])
     beta = optimizer._resolve_beta(cfg, l_theta)
     theta_bar = p.theta
     sum_w = 0.0

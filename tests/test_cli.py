@@ -133,6 +133,15 @@ class TestTrain:
         assert derived["n_inner"] == 6
         assert derived["sigma"] == pytest.approx(1.0 / np.sqrt(6))
         assert derived["gamma"] == pytest.approx(1.0 / derived["L_ball"])
+        # config holds what was given; the run derived N_i, sigma, beta
+        # and gamma, and only derived states them
+        assert not {"N_i", "sigma", "beta", "gamma"} & set(manifest["config"])
+        cfg = RunConfig.from_dict(manifest["config"])
+        _, record = optimizer.run(builtin_activation("sigmoid"),
+                                  dataset.load(data), cfg)
+        traj = read_trajectory_csv(tmp_path / "runs" / "p_rep0.trajectory.csv")
+        for column, values in record.columns().items():
+            np.testing.assert_array_equal(traj[column], values)
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--n-inner", "50", "N_i"), ("--sigma", "0.7", "sigma")])
@@ -254,6 +263,7 @@ class TestTrain:
          "'theorem2_preset'"),
         ({"run": {"N_o": 2.7, "N_i": 2}}, "'N_o'"),
         ({"repetitions": True}, "'repetitions'"),
+        ({"repetitions": 0}, "repetitions must be >= 1"),
         ({"run": {"N_o": 2, "N_i": 2, "sigma": False}}, "'sigma'"),
         ({"activation": ["sigmoid"]}, "'activation'"),
         ({"dataset": {"path": 5}}, "'dataset.path'"),
@@ -281,6 +291,7 @@ class TestTrain:
     ], ids=["repetitions", "run.sigma", "run.init", "run", "dataset",
             "out_dir", "list", "run.early_exit", "run.theorem2_preset",
             "run.theorem2_preset_number", "run.N_o_fraction", "repetitions_bool",
+            "repetitions_0",
             "run.sigma_bool", "activation_list", "dataset.path", "name",
             "activation_unknown", "unknown.run.n_outer", "unknown.repititions",
             "unknown.dataset.noise", "unknown.run.init.w_scale",
@@ -690,6 +701,13 @@ class TestPlotdata:
     def test_missing_dir_is_io_error(self, tmp_path):
         assert run_cli("plotdata", "--run-dir", str(tmp_path / "missing")) == 2
 
+    def test_run_dir_without_trajectories(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("keep")
+        assert run_cli("plotdata", "--run-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: no *.trajectory.csv files under {tmp_path}\n")
+        assert sorted(os.listdir(tmp_path)) == ["notes.txt"]
+
     def test_run_dir_naming_a_file(self, tmp_path, capsys):
         path = tmp_path / "r_rep0.trajectory.csv"
         path.write_text("keep")
@@ -875,15 +893,21 @@ def test_out_naming_a_file(tmp_path, capsys, command):
     assert blocker.read_text() == "keep"
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["verify", "rank", "--activation", "relu", "--trials", "10"], 2),
+@pytest.mark.parametrize("argv, code, message", [
+    (["verify", "rank", "--activation", "relu", "--trials", "10"], 2,
+     "no rank claim for relu"),
     (["train", "--d", "3", "--n-samples", "9", "--activation", "softplus",
-      "--w-scale", "1e160"], 3),
-], ids=["verify_rank_relu", "train_numeric_failure"])
-def test_failed_command_leaves_no_output_directory(tmp_path, capsys, argv, code):
+      "--w-scale", "1e160"], 3, "numeric failure"),
+    # the suite's bound is stated for a bounded h only
+    (["verify", "theorem2", "--activation", "softplus", "--seeds", "1"], 2,
+     "theorem2 suite needs a bounded activation"),
+], ids=["verify_rank_relu", "train_numeric_failure", "verify_theorem2_softplus"])
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys, argv, code,
+                                                   message):
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == code
-    assert capsys.readouterr().err.count("\n") == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from twolayer_opt import (ConfigError, Dataset, NetworkParams, NumericsError,
                           Provenance, builtin_activation, certify,
                           collection_rank, diagnostics, lipschitz_estimates,
-                          model, perturbation_rank_trial, project_ball,
-                          svd_rank)
+                          make_realizable, model, perturbation_rank_trial,
+                          project_ball, svd_rank)
 
 SIG = builtin_activation("sigmoid")
 
@@ -73,8 +73,37 @@ class TestCollectionRank:
 
     def test_shape_checks(self, rng):
         from twolayer_opt import ShapeError
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="W must be square"):
             collection_rank(SIG, np.ones((2, 3)), rng.uniform(-1, 1, (4, 3)))
+        with pytest.raises(ShapeError, match="W must be square"):
+            collection_rank(SIG, np.ones(3), rng.uniform(-1, 1, (4, 3)))
+        # _features checks the inputs: (N, d), with W's d
+        with pytest.raises(ShapeError, match=r"inputs of shape \(3,\)"):
+            collection_rank(SIG, np.eye(3), rng.uniform(-1, 1, 3))
+        with pytest.raises(ShapeError, match=r"\(4, 2\) incompatible with d=3"):
+            collection_rank(SIG, np.eye(3), rng.uniform(-1, 1, (4, 2)))
+
+
+class TestThetaSubproblem:
+    def test_parts(self, rng):
+        # G = H^T H / N = Q diag(lam) Q^T, lam ascending, and b = H^T v / N
+        p, ds = random_instance(rng)
+        lam, Q, b = diagnostics.theta_subproblem(p, SIG, ds)
+        _, _, H = model._features(SIG, p.W, ds.inputs)
+        N = len(H)
+        assert np.all(np.diff(lam) >= 0)
+        np.testing.assert_allclose(Q @ np.diag(lam) @ Q.T, H.T @ H / N,
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(b, H.T @ ds.labels / N)
+
+    def test_non_finite_hessian(self):
+        # softplus features of a W scaled by 1e160 are finite, their
+        # squares in G = H^T H / N are not
+        p = NetworkParams(1e160 * np.eye(3), np.ones(3))
+        ds = make_realizable(3, 9, seed=1)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericsError, match="non-finite theta-subproblem"):
+            diagnostics.theta_subproblem(p, builtin_activation("softplus"), ds)
 
 
 class TestLipschitzEstimates:

@@ -17,7 +17,7 @@ from twolayer_opt import (ConfigError, NetworkParams, NumericsError,
                           optimizer, outer_step, project_ball,
                           random_params, run, solve_theta_star, svd_rank)
 from twolayer_opt.diagnostics import (lipschitz_ball_bound, lipschitz_estimates,
-                                      theta_spectrum)
+                                      theta_subproblem)
 from twolayer_opt.optimizer import InnerSummary, _resolve_beta, phase_noise
 
 SIG = builtin_activation("sigmoid")
@@ -30,13 +30,11 @@ def running_sum_inner_sgd(p, a, ds, cfg, rng):
     projected)."""
     n_inner, sigma = cfg.n_inner, cfg.sigma
     radius = cfg.R / 2.0
-    _, _, H = model._features(a, p.W, ds.inputs)
-    v = np.asarray(ds.labels, dtype=float)
-    lam, Q = diagnostics.theta_spectrum(H)
+    lam, Q, b = theta_subproblem(p, a, ds)
     l_theta = float(lam[-1])
     beta = _resolve_beta(cfg, l_theta)
-    n, N = p.n, len(v)
-    Cq = beta * (H.T @ v / N - phase_noise(rng, sigma, n_inner, n)) @ Q
+    n = p.n
+    Cq = beta * (b - phase_noise(rng, sigma, n_inner, n)) @ Q
     lag = 1.0 - beta * lam
     lag_l, y = lag.tolist(), (p.theta @ Q).tolist()
     sum_y = [0.0] * n
@@ -269,14 +267,14 @@ class TestInnerSgd:
         assert traced_peak(4 * optimizer.INNER_BLOCK) <= one + 64 * 1024
 
     def test_l_theta_is_theta_smoothness(self, rng):
-        # one L_theta formula: inner_sgd's, theta_spectrum's and
+        # one L_theta formula: inner_sgd's, theta_subproblem's and
         # lipschitz_estimates' agree exactly, and with the SVD of H
         for _ in range(20):
             p, ds = random_instance(rng)
             _, _, H = model._features(SIG, p.W, ds.inputs)
             _, summary = inner_sgd(p, SIG, ds, RunConfig(n_outer=1, n_inner=3),
                                    np.random.default_rng(0))
-            assert summary.l_theta == theta_spectrum(H)[0][-1] == \
+            assert summary.l_theta == theta_subproblem(p, SIG, ds)[0][-1] == \
                 lipschitz_estimates(p, SIG, ds).l_theta_exact
             top = np.linalg.svd(H, compute_uv=False)[0]
             assert summary.l_theta == pytest.approx(top * top / len(H), rel=1e-13)
@@ -389,10 +387,9 @@ class TestSolveThetaStar:
                      if singular else random_instance(rng, d=d))
             theta = solve_theta_star(p, SIG, ds, radius)
             g = model.grad_theta(NetworkParams(p.W, theta), SIG, ds)
-            _, _, H = model._features(SIG, p.W, ds.inputs)
+            lam, _, b = theta_subproblem(p, SIG, ds)
             norm = np.linalg.norm(theta)
-            tol = 1e-12 * (np.linalg.norm(H.T @ ds.labels) / len(H)
-                           + theta_spectrum(H)[0][-1] * norm)
+            tol = 1e-12 * (np.linalg.norm(b) + lam[-1] * norm)
             assert norm <= radius * (1 + 1e-14)
             if norm < radius * (1 - 1e-12):
                 assert np.linalg.norm(g) <= tol
@@ -412,6 +409,8 @@ class TestSolveThetaStar:
 
 class TestRunConfig:
     def test_validation(self):
+        with pytest.raises(ConfigError, match="n_outer must be >= 0"):
+            RunConfig(n_outer=-1)
         with pytest.raises(ConfigError):
             RunConfig(n_outer=1, n_inner=0)
         with pytest.raises(ConfigError):
@@ -427,6 +426,9 @@ class TestRunConfig:
             RunConfig(n_outer=1, theorem2_preset=True, beta=0.1)
         with pytest.raises(ConfigError, match="derives gamma"):
             RunConfig(n_outer=1, theorem2_preset=True, gamma=0.1)
+        # its N_i is N_o
+        with pytest.raises(ConfigError, match="needs n_outer >= 1"):
+            RunConfig(n_outer=0, theorem2_preset=True)
         # a key that nothing reads, such as the old step-size policies
         with pytest.raises(ConfigError, match="'beta_policy'"):
             RunConfig.from_dict({"N_o": 3, "N_i": 2, "beta_policy": "fixed"})
@@ -436,6 +438,12 @@ class TestRunConfig:
                         gamma=0.05, seed=9, init_w_scale=0.5)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         assert RunConfig.from_dict({}) == RunConfig()
+        # a preset config states only what was given, not the N_i, sigma,
+        # beta and gamma that the preset derives
+        preset = RunConfig(n_outer=6, theorem2_preset=True, seed=3)
+        assert (set(optimizer.RUN_KEYS) - set(preset.to_dict())
+                == set(optimizer.PRESET_KEYS))
+        assert RunConfig.from_dict(preset.to_dict()) == preset
 
 
 class TestRun:
@@ -632,6 +640,26 @@ class TestRun:
         np.testing.assert_array_equal(p1.theta, p2.theta)
         for col, vals in r1.columns().items():
             np.testing.assert_array_equal(vals, r2.columns()[col])
+
+    def test_given_step_sizes_are_used(self, monkeypatch):
+        # a beta within 1/(2 L_theta) and a gamma within 2/L, as given
+        ds = make_realizable(3, 9, seed=4)
+        L = lipschitz_ball_bound(SIG, ds, 4.0)
+        beta, gamma = 0.01, 1.5 / L
+        program, summaries = optimizer.inner_sgd, []
+
+        def recorded(*args):
+            theta, summary = program(*args)
+            summaries.append(summary)
+            return theta, summary
+
+        monkeypatch.setattr(optimizer, "inner_sgd", recorded)
+        cfg = RunConfig(n_outer=3, n_inner=4, sigma=0.2, beta=beta,
+                        gamma=gamma, seed=1)
+        _, rec = run(SIG, ds, cfg)
+        assert [s.beta for s in summaries] == [beta] * 3
+        assert all(beta < 1.0 / (2.0 * s.l_theta) for s in summaries)
+        assert rec.derived["gamma"] == gamma
 
     def test_bad_fixed_gamma(self):
         ds = make_realizable(3, 9, seed=4)
