@@ -7,12 +7,13 @@ step on the hidden layer W (outer_step).  A run starts from
 model.random_params with theta projected into the ball by project_ball; the
 inner phase's prox step, P_x(y) = P_ball(x - y), is the projection inside
 its compiled step loop (_inner_steps).
-Each iterate's trajectory row is its diagnostics.certificate, built from the
-stationarity system and the gradient that the W step uses, plus
-svd_rank(W).sigma_min; TrajectoryRecord declares each column once.  A
-caller that reads only the returned iterate's certificate (the verify
-suites) passes certify_rows=False, and each row but the final one then
-holds the W step's grad_norm and NaN in the other certificate columns.
+The loop computes each iterate's grad_W once, for the W step and for the
+row recorder, which only records: the gradient's norm and, on a certified
+row, the diagnostics.certificate of the stationarity system and that
+gradient, plus svd_rank(W).sigma_min; TrajectoryRecord declares each column
+once.  A caller that reads only the returned iterate's certificate (the
+verify suites) passes certify_rows=False, and each row but the final one
+then holds NaN in f, sigma_min_W, sigma_min_D and resid_norm.
 
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
@@ -192,14 +193,14 @@ class TrajectoryRecord:
 TRAJECTORY_FIELDS = {f.metadata["column"]: f.name
                      for f in fields(TrajectoryRecord) if "column" in f.metadata}
 TRAJECTORY_COLUMNS = tuple(TRAJECTORY_FIELDS)
-# the fields a certified row takes from its certificate and svd_rank(W)
-CERTIFICATE_FIELDS = ("f", "grad_norm", "sigma_min_w", "sigma_min_d",
-                      "resid_norm")
 
 
 def project_ball(z: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of z onto {x : ||x||_2 <= radius}."""
-    norm = l2_norm(z)
+    """Euclidean projection of a finite z onto {x : ||x||_2 <= radius}."""
+    with np.errstate(over="ignore"):
+        norm = l2_norm(z)
+    if norm == math.inf:   # z . z overflows: hypot scales z first
+        norm = math.hypot(*z.flat)
     if norm <= radius:
         return z
     return z * (radius / norm)
@@ -342,11 +343,12 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
     Requires square W (n = d) so the trajectory rank diagnostics are
     well-defined.  The record has n_outer + 1 rows: one per outer iteration
     evaluated at (W_k, theta_{k+1}), plus a final row for the returned
-    iterate.  The final row is always certified.  With certify_rows False
-    a row k < n_outer computes only grad_W, which the W step needs: it
-    holds k, grad_norm and inner_steps, and NaN in the other
-    CERTIFICATE_FIELDS, and derived["spectrum"] counts the certified rows
-    alone.  The iterates, grad_norm and inner_steps are the same bits either way.
+    iterate.  The loop computes grad_W once per iterate, for the W step and
+    for record, which only records.  The final row is always certified;
+    with certify_rows False a row k < n_outer holds NaN in f, sigma_min_w,
+    sigma_min_d and resid_norm, and derived["spectrum"] counts the
+    certified rows alone.  The iterates, grad_norm and inner_steps are the
+    same bits either way.
     """
     rng = np.random.default_rng(cfg.seed)
 
@@ -371,32 +373,29 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
     rows = []   # one {TrajectoryRecord field: value} per row
     spectrum = {}   # rows per column_sigma_extremes route
 
-    def record(k, p, inner_steps, certified):
-        g = grad_W(p, a, ds)
+    def record(k, p, g, inner_steps, certified):
+        row = dict(k=k, f=math.nan, grad_norm=l2_norm(g), sigma_min_w=math.nan,
+                   sigma_min_d=math.nan, resid_norm=math.nan, inner_steps=inner_steps)
         if certified:
             cert = certificate(stationarity_system(p, a, ds), g)
             spectrum[cert.spectrum] = spectrum.get(cert.spectrum, 0) + 1
-            row = dict(f=cert.loss_value, grad_norm=cert.grad_norm,
-                       sigma_min_w=svd_rank(p.W).sigma_min,
-                       sigma_min_d=cert.sigma_min_D,
-                       resid_norm=cert.residual_norm)
-        else:   # grad_norm as certificate computes it, NaN for the rest
-            row = dict(dict.fromkeys(CERTIFICATE_FIELDS, math.nan), grad_norm=l2_norm(g))
-        if not all(math.isfinite(row[name]) for name in
-                   (CERTIFICATE_FIELDS if certified else ("grad_norm",))):
+            row.update(f=cert.loss_value, sigma_min_w=svd_rank(p.W).sigma_min,
+                       sigma_min_d=cert.sigma_min_D, resid_norm=cert.residual_norm)
+        computed = row.values() if certified else [row["grad_norm"]]
+        if not all(map(math.isfinite, computed)):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
-        rows.append(dict(row, k=k, inner_steps=inner_steps))
-        return g
+        rows.append(row)
 
     for k in range(n_outer):
         theta, _ = inner_sgd(params, a, ds, cfg, rng)
         if not np.isfinite(theta).all():
             raise NumericsError(f"non-finite theta at outer iteration {k}")
         params = NetworkParams._derived(params.W, theta)
-        g = record(k, params, cfg.n_inner, certify_rows)
+        g = grad_W(params, a, ds)
+        record(k, params, g, cfg.n_inner, certify_rows)
         params = outer_step(params, g, gamma, L_ball)
 
-    record(n_outer, params, 0, True)
+    record(n_outer, params, grad_W(params, a, ds), 0, True)
 
     trajectory = TrajectoryRecord(
         **{name: np.array([row[name] for row in rows])

@@ -346,12 +346,22 @@ def test_bad_run_setting_flag(tmp_path, capsys, flag, value, setting):
 
 def test_non_finite_theta_hessian(tmp_path, capsys):
     # softplus features of a W scaled by 1e160 are finite, their squares in
-    # f and in G = H^T H / N are not
+    # G = H^T H / N are not; at theta = 0 the initial f is finite, so the
+    # run reaches the first inner phase's theta-subproblem
     assert run_cli("train", "--d", "3", "--n-samples", "9", "--activation",
-                   "softplus", "--w-scale", "1e160",
+                   "softplus", "--w-scale", "1e160", "--theta-scale", "0",
                    "--out", str(tmp_path / "runs")) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure") and err.count("\n") == 1
+    assert err.endswith(" in diagnostics.theta_subproblem\n")
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e300"])
+def test_huge_initial_theta_projected(tmp_path, capsys, scale):
+    # theta . theta overflows; the projection onto the ball does not
+    assert run_cli("train", "--d", "3", "--n-samples", "9", "--theta-scale",
+                   scale, "--n-outer", "3", "--out", str(tmp_path / "runs")) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flags", [["--sigma", "1e200"],

@@ -82,6 +82,10 @@ class TestDatasetInvariants:
         with pytest.raises(ShapeError):
             Dataset(np.ones((3, 2)), np.ones(4), Provenance("uniform_cube"))
 
+    def test_one_dimensional_inputs(self):
+        with pytest.raises(ShapeError, match=r"inputs must be \(N, d\)"):
+            Dataset(np.ones(3), np.ones(3), Provenance("uniform_cube"))
+
     def test_nonfinite_rejected(self):
         from twolayer_opt import NumericsError
         with pytest.raises(NumericsError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twolayer_opt import (ConfigError, Dataset, NetworkParams, NumericsError,
-                          Provenance, builtin_activation, certify,
+                          Provenance, ShapeError, builtin_activation, certify,
                           collection_rank, diagnostics, lipschitz_estimates,
                           make_realizable, model, perturbation_rank_trial,
                           project_ball, svd_rank)
@@ -72,7 +72,6 @@ class TestCollectionRank:
         assert base.numerical_rank == rotated.numerical_rank
 
     def test_shape_checks(self, rng):
-        from twolayer_opt import ShapeError
         with pytest.raises(ShapeError, match="W must be square"):
             collection_rank(SIG, np.ones((2, 3)), rng.uniform(-1, 1, (4, 3)))
         with pytest.raises(ShapeError, match="W must be square"):
@@ -530,4 +529,17 @@ class TestPerturbationRankTrial:
     def test_zero_Z_rejected(self, rng):
         with pytest.raises(ValueError):
             perturbation_rank_trial(np.eye(2), np.zeros((2, 2)), SIG,
+                                    rng.uniform(-1, 1, (4, 2)), trials=5)
+
+    def test_shape_mismatch_rejected(self, rng):
+        with pytest.raises(ShapeError, match="W' and Z must both be"):
+            perturbation_rank_trial(np.eye(2), np.eye(3), SIG,
+                                    rng.uniform(-1, 1, (4, 2)), trials=5)
+
+    def test_every_W_singular(self, rng):
+        # W = diag(v) e1 e1^T has rank 1 for every v
+        z = np.zeros((2, 2))
+        z[0, 0] = 1.0
+        with pytest.raises(NumericsError, match="singular"):
+            perturbation_rank_trial(np.zeros((2, 2)), z, SIG,
                                     rng.uniform(-1, 1, (4, 2)), trials=5)

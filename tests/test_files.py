@@ -4,10 +4,11 @@ import struct
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolayer_opt import files
+from twolayer_opt import IoError, files
 
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
          2.225073858507201e-308, 1.7976931348623157e308,
@@ -43,3 +44,8 @@ def test_output_directory_made_by_the_first_write(tmp_path):
     assert path == out / "x.json" and not (tmp_path / "a").exists()
     files.write_json(path, {"x": 1})
     assert files.read_json(path) == {"x": 1}
+
+
+def test_write_onto_a_directory(tmp_path):
+    with pytest.raises(IoError, match="cannot write"):
+        files.write_json(tmp_path, {"x": 1})

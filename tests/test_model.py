@@ -32,6 +32,10 @@ class TestNetworkParams:
         with pytest.raises(ShapeError):
             NetworkParams(np.ones((2, 3)), np.ones(3))
 
+    def test_one_dimensional_W(self):
+        with pytest.raises(ShapeError, match="W must be 2-d"):
+            NetworkParams(np.ones(3), np.ones(3))
+
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericsError):
             NetworkParams(np.array([[1.0, np.nan]]), np.array([1.0]))

@@ -93,6 +93,14 @@ class TestProxBall:
                 assert objective(out) <= objective(z) + 1e-12
 
 
+class TestProjectBall:
+    def test_overflowing_square(self):
+        # z . z overflows, z does not: the projection is still defined
+        with np.errstate(over="raise"):
+            out = project_ball(1e200 * np.ones(3), 2.0)
+        assert np.isfinite(out).all() and np.linalg.norm(out) <= 2.0
+
+
 class TestPhaseNoise:
     def test_zero_noise_is_exact(self, rng):
         p, ds = random_instance(rng)
