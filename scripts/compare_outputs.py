@@ -11,8 +11,9 @@ the same environment.  The list holds the benchmark's four workloads at data
 seed 1, as perfbench/workloads.py defines them, a tall D (N < n*d),
 `verify theorem1` and `rank`, `diagnose --out` at d = 3 and d = 25,
 `train` at d = 3 for the three activations built from another (at the
-default --w-scale and at 30), a one-unit `train` (d = 1) whose inner phases
-of 5,000 steps span two noise blocks, and README's example config.
+default --w-scale and at 30), a `train` whose 301 certified rows span
+three blocks of stacked W spectra, a one-unit `train` (d = 1) whose inner
+phases of 5,000 steps span two noise blocks, and README's example config.
 
 Every file written is compared byte for byte, a manifest without its
 wall_time_s, and so are each command's stdout, stderr and exit code.  Each
@@ -62,6 +63,8 @@ COMMANDS = [
        "--out", f"paired/{act}{'-w30' if scale else ''}"]
       for act in ("sigmoid_symmetric", "gaussian_symmetric", "elliot")
       for scale in ((), ("--w-scale", "30"))],
+    # more certified rows than optimizer.SPECTRA_BLOCK
+    ["train", "--d", "3", "--n-samples", "9", "--n-outer", "300", "--out", "blocks"],
     # a width-1 network, with phases longer than optimizer.INNER_BLOCK
     ["train", "--d", "1", "--n-samples", "1", "--n-outer", "3", "--n-inner",
      "5000", "--sigma", "0.3", "--out", "d1"],

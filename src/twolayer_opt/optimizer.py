@@ -10,10 +10,12 @@ its compiled step loop (_inner_steps).
 The loop computes each iterate's grad_W once, for the W step and for the
 row recorder, which only records: the gradient's norm and, on a certified
 row, the diagnostics.certificate of the stationarity system and that
-gradient, plus svd_rank(W).sigma_min; TrajectoryRecord declares each column
-once.  A caller that reads only the returned iterate's certificate (the
-verify suites) passes certify_rows=False, and each row but the final one
-then holds NaN in f, sigma_min_W, sigma_min_D and resid_norm.
+gradient; TrajectoryRecord declares each column once.  A certified row's
+sigma_min_W is svd_rank(W).sigma_min bit for bit, filled in for up to
+SPECTRA_BLOCK rows at a time from one stacked SVD of their W.  A caller
+that reads only the returned iterate's certificate (the verify suites)
+passes certify_rows=False, and each row but the final one then holds NaN
+in f, sigma_min_W, sigma_min_D and resid_norm.
 
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
@@ -60,7 +62,7 @@ import numpy as np
 
 from .activations import ActivationFunction
 from .diagnostics import (certificate, l2_norm, lipschitz_ball_bound,
-                          svd_rank, theta_subproblem)
+                          theta_subproblem)
 from .errors import ConfigError, NumericsError, ShapeError
 from .files import check_keys, json_field
 from .model import (NetworkParams, grad_W, loss, random_params,
@@ -83,6 +85,7 @@ INIT_KEYS = {"W_scale": ("init_w_scale", float),
 # left out of a preset config's to_dict
 PRESET_KEYS = ("N_i", "sigma", "beta", "gamma")
 INNER_BLOCK = 4096   # inner steps per phase_noise draw: a phase's memory bound
+SPECTRA_BLOCK = 128  # certified rows per stacked SVD of W: run's memory bound
 
 
 @dataclass(frozen=True)
@@ -236,13 +239,14 @@ def _inner_steps(n: int):
     """The inner phase's step loop at width n: steps(lag, y, s, Cq, radius)
     returns (y, s) after, for each row c of Cq in turn, y <- lag * y + c,
     y <- y * (radius / ||y||) where ||y|| = hypot(*y) > radius, and s += y,
-    one coordinate at a time.  Its source is built from n alone so that each
-    coordinate of lag, y and s is a local variable, which no loop over
-    lists or arrays matches in speed."""
+    one coordinate at a time, with Cq's rows flat in one list.  Its source
+    is built from n alone so that each coordinate of lag, y and s is a
+    local variable, which no loop over lists or arrays matches in speed."""
     l, y, s, c = ("".join(f"{v}{i}, " for i in range(n)) for v in "lysc")
     source = "\n".join([
         "def steps(lag, y, s, Cq, radius, hypot=hypot):",
-        f"    {l}= lag", f"    {y}= y", f"    {s}= s", f"    for {c}in Cq:",
+        f"    {l}= lag", f"    {y}= y", f"    {s}= s", "    it = iter(Cq)",
+        f"    for {c}in zip({'it, ' * n}):",
         *(f"        y{i} = l{i} * y{i} + c{i}" for i in range(n)),
         f"        norm = hypot({y})",
         "        if norm > radius:",
@@ -283,7 +287,7 @@ def inner_sgd(p: NetworkParams, a: ActivationFunction, ds: "Dataset",
     for start in range(0, n_inner, INNER_BLOCK):
         rows = min(INNER_BLOCK, n_inner - start)
         Cq = beta * (b - phase_noise(rng, sigma, rows, n)) @ Q
-        y, sum_y = steps(lag_l, y, sum_y, Cq.tolist(), radius)
+        y, sum_y = steps(lag_l, y, sum_y, Cq.ravel().tolist(), radius)
     theta_avg = Q @ np.divide(sum_y, n_inner)
     return theta_avg, InnerSummary(beta=beta, l_theta=l_theta)
 
@@ -372,19 +376,33 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
 
     rows = []   # one {TrajectoryRecord field: value} per row
     spectrum = {}   # rows per column_sigma_extremes route
+    held = []   # (row, W) of the certified rows that await sigma_min_w
+
+    def fill_sigma_min_w():
+        # one stacked SVD gives each matrix's values bit for bit as its own call
+        svals = np.linalg.svd(np.stack([W for _, W in held]), compute_uv=False)
+        for (row, _), sigma_min in zip(held, svals[:, -1].tolist()):
+            if not math.isfinite(sigma_min):
+                raise NumericsError(f"non-finite iterate at outer iteration {row['k']}")
+            row["sigma_min_w"] = sigma_min
+        held.clear()
 
     def record(k, p, g, inner_steps, certified):
         row = dict(k=k, f=math.nan, grad_norm=l2_norm(g), sigma_min_w=math.nan,
                    sigma_min_d=math.nan, resid_norm=math.nan, inner_steps=inner_steps)
+        computed = [row["grad_norm"]]
         if certified:
             cert = certificate(stationarity_system(p, a, ds), g)
             spectrum[cert.spectrum] = spectrum.get(cert.spectrum, 0) + 1
-            row.update(f=cert.loss_value, sigma_min_w=svd_rank(p.W).sigma_min,
-                       sigma_min_d=cert.sigma_min_D, resid_norm=cert.residual_norm)
-        computed = row.values() if certified else [row["grad_norm"]]
+            row.update(f=cert.loss_value, sigma_min_d=cert.sigma_min_D,
+                       resid_norm=cert.residual_norm)
+            computed += [cert.loss_value, cert.sigma_min_D, cert.residual_norm]
+            held.append((row, p.W))
         if not all(map(math.isfinite, computed)):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
         rows.append(row)
+        if len(held) == SPECTRA_BLOCK:
+            fill_sigma_min_w()
 
     for k in range(n_outer):
         theta, _ = inner_sgd(params, a, ds, cfg, rng)
@@ -396,6 +414,8 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
         params = outer_step(params, g, gamma, L_ball)
 
     record(n_outer, params, grad_W(params, a, ds), 0, True)
+    if held:
+        fill_sigma_min_w()
 
     trajectory = TrajectoryRecord(
         **{name: np.array([row[name] for row in rows])

@@ -34,11 +34,12 @@ def svd_spectrum(M):
 def prox_step(x, y, radius):
     """The prox-mapping P_x(y) = P_ball(x - y) as the trainer computes it:
     one step of inner_sgd's compiled loop (optimizer._inner_steps) from the
-    iterate x with lag 1 and c = -y, since 1.0 * x + (-y) is x - y exactly."""
+    iterate x with lag 1 and the one row c = -y, passed flat as the loop
+    reads it, since 1.0 * x + (-y) is x - y exactly."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n = len(x)
     out, _ = optimizer._inner_steps(n)([1.0] * n, x.tolist(), [0.0] * n,
-                                       [(-y).tolist()], radius)
+                                       (-y).tolist(), radius)
     return np.array(out)
 
 

@@ -1,5 +1,7 @@
 """Rank reports, Lipschitz estimators, certificates, perturbation trials."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import fitted_labels, random_instance, svd_extremes
@@ -302,6 +304,20 @@ class TestColumnSigmaExtremes:
         monkeypatch.setattr(diagnostics, "RANK_TOL", 1e-12)
         assert decided(diagnostics.column_sigma_extremes(D))[1:] == \
             (None, "inverse", True)
+
+    @pytest.mark.parametrize("margin, route", [(0.5, "svd"), (3.0, "inverse")])
+    def test_guard_band_width(self, rng, margin, route):
+        # singular values 1, ..., 1 and s = RANK_TOL ||D||_F + margin tol,
+        # tol = sqrt(n) eps ||D||_F: the inverse route accepts s only when
+        # s - tol clears RANK_TOL ||D||_F, so half a tol above the
+        # threshold the SVD decides, and finds full rank
+        Q = np.linalg.qr(rng.normal(size=(512, 512)))[0]
+        frob = np.linalg.norm(Q[:, :511])   # ||D||_F but for s^2 ~ 5e-18
+        tol = math.sqrt(512) * np.finfo(float).eps * frob
+        D = Q * np.concatenate([np.ones(511),
+                                [diagnostics.RANK_TOL * frob + margin * tol]])
+        got = diagnostics.column_sigma_extremes(D)
+        assert (got.spectrum, got.full_rank) == (route, True)
 
     # near the guard band (3e-9, 1e-8) also with Q from seeds 0-19
     @pytest.mark.parametrize("s, seed", [

@@ -537,6 +537,33 @@ class TestRun:
         assert row == (cert.loss_value, cert.grad_norm, svd_rank(p.W).sigma_min,
                        cert.sigma_min_D, cert.residual_norm)
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("block, n_outer, certify_rows", [
+        (3, 2, True),                          # the final row fills a block
+        (3, 7, True),                          # blocks of 3, 3 and 2 rows
+        (None, optimizer.SPECTRA_BLOCK, True),   # one full block, then one row
+        (None, 5, False),                      # the final row alone
+    ], ids=["one_block", "three_blocks", "real_block", "uncertified"])
+    def test_sigma_min_w_is_svd_rank(self, monkeypatch, d, block, n_outer,
+                                     certify_rows):
+        # each certified row's W, in row order, as stationarity_system sees it
+        Ws, program = [], model.stationarity_system
+        monkeypatch.setattr(optimizer, "stationarity_system",
+                            lambda p, a, ds: Ws.append(p.W) or program(p, a, ds))
+        # the row count of each stacked SVD of W
+        stacks, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: (
+            M.ndim == 3 and stacks.append(len(M))) or svd(M, **kw))
+        block = block or optimizer.SPECTRA_BLOCK
+        monkeypatch.setattr(optimizer, "SPECTRA_BLOCK", block)
+        cfg = RunConfig(n_outer=n_outer, n_inner=2, sigma=0.2, seed=3)
+        _, rec = run(SIG, make_realizable(d, 2 * d, seed=4), cfg,
+                     certify_rows=certify_rows)
+        assert sum(stacks) == len(Ws) and max(stacks) <= block
+        certified = rec.sigma_min_w if certify_rows else rec.sigma_min_w[-1:]
+        assert certified.tolist() == [svd_rank(W).sigma_min for W in Ws]
+        assert np.isnan(rec.sigma_min_w[:len(rec) - len(Ws)]).all()
+
     @pytest.mark.parametrize("cfg", [
         RunConfig(n_outer=12, n_inner=6, sigma=0.4, seed=5),
         RunConfig(n_outer=12, theorem2_preset=True, seed=5),
