@@ -8,14 +8,15 @@ model.random_params with theta projected into the ball by project_ball; the
 inner phase's prox step, P_x(y) = P_ball(x - y), is the projection inside
 its compiled step loop (_inner_steps).
 The loop computes each iterate's grad_W once, for the W step and for the
-row recorder, which only records: the gradient's norm and, on a certified
-row, the diagnostics.certificate of the stationarity system and that
-gradient; TrajectoryRecord declares each column once.  A certified row's
-sigma_min_W is svd_rank(W).sigma_min bit for bit, filled in for up to
-SPECTRA_BLOCK rows at a time from one stacked SVD of their W.  A caller
-that reads only the returned iterate's certificate (the verify suites)
-passes certify_rows=False, and each row but the final one then holds NaN
-in f, sigma_min_W, sigma_min_D and resid_norm.
+row recorder, which writes row k straight into the columns of the
+TrajectoryRecord that run allocates before the loop: the gradient's norm
+and, on a certified row, the diagnostics.certificate of the stationarity
+system and that gradient.  A certified row's sigma_min_W is
+svd_rank(W).sigma_min bit for bit, written for the held rows from one
+stacked SVD of their W when SPECTRA_BLOCK are held or at the final row.  A
+caller that reads only the returned iterate's certificate (the verify
+suites) passes certify_rows=False, and each row but the final one then
+holds NaN in f, sigma_min_W, sigma_min_D and resid_norm.
 
 At fixed W the inner prox step is affine in theta up to the projection:
 with features H (N x n), G = H^T H / N and b = H^T v / N it is
@@ -34,8 +35,8 @@ subproblem's exact (least-norm) minimizer over the ball (solve_theta_star).
 Step sizes: a beta or gamma left at None is derived; one that is given is
 used, after a check of its bound.
   * beta: derived as min(1/(2 L_theta), sqrt(1/(N_i sigma^2))) with the
-    exact data-dependent L_theta; a given beta must satisfy
-    0 < beta <= 1/(2 L_theta).
+    exact data-dependent L_theta (an N_i sigma^2 that overflows raises
+    OverflowError); a given beta must satisfy 0 < beta <= 1/(2 L_theta).
   * gamma: derived as 1/L with L the W-smoothness bound evaluated at the
     worst case over the feasible ball (constant across iterations); a given
     gamma must satisfy 0 < gamma < 2/L.
@@ -229,6 +230,8 @@ def _resolve_beta(cfg: RunConfig, l_theta: float) -> float:
         return cfg.beta
     # a sigma below ~1e-162 squares to 0: no cap on beta, as at sigma = 0
     noise_var = cfg.n_inner * cfg.sigma ** 2
+    if noise_var == math.inf:   # fail as sigma ** 2 does, not with beta = 0
+        raise OverflowError("Numerical result out of range")
     noise_cap = math.inf if noise_var == 0.0 else 1.0 / math.sqrt(noise_var)
     beta = min(cap, noise_cap)
     return 1.0 if not math.isfinite(beta) else beta  # zero-gradient degenerate case
@@ -348,7 +351,8 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
     well-defined.  The record has n_outer + 1 rows: one per outer iteration
     evaluated at (W_k, theta_{k+1}), plus a final row for the returned
     iterate.  The loop computes grad_W once per iterate, for the W step and
-    for record, which only records.  The final row is always certified;
+    for record, which checks row k as finite and writes it in place into the
+    record allocated before the loop.  The final row is always certified;
     with certify_rows False a row k < n_outer holds NaN in f, sigma_min_w,
     sigma_min_d and resid_norm, and derived["spectrum"] counts the
     certified rows alone.  The iterates, grad_norm and inner_steps are the
@@ -374,35 +378,39 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
                                     project_ball(params.theta, cfg.R / 2.0))
     f_init = loss(params, a, ds)
 
-    rows = []   # one {TrajectoryRecord field: value} per row
-    spectrum = {}   # rows per column_sigma_extremes route
-    held = []   # (row, W) of the certified rows that await sigma_min_w
+    rec = TrajectoryRecord(
+        k=np.arange(n_outer + 1),
+        inner_steps=np.append(np.full(n_outer, cfg.n_inner), 0),
+        **{name: np.full(n_outer + 1, math.nan) for name in
+           ("f", "grad_norm", "sigma_min_w", "sigma_min_d", "resid_norm")},
+        derived={"n_inner": cfg.n_inner, "sigma": cfg.sigma, "gamma": gamma,
+                 "L_ball": L_ball, "f_init": f_init, "spectrum": {}})
+    spectrum = rec.derived["spectrum"]   # rows per column_sigma_extremes route
+    # W of the certified rows k - len(held) + 1 ... k that await sigma_min_w:
+    # contiguous, as a run certifies every row or the final row alone
+    held = []
 
-    def fill_sigma_min_w():
-        # one stacked SVD gives each matrix's values bit for bit as its own call
-        svals = np.linalg.svd(np.stack([W for _, W in held]), compute_uv=False)
-        for (row, _), sigma_min in zip(held, svals[:, -1].tolist()):
-            if not math.isfinite(sigma_min):
-                raise NumericsError(f"non-finite iterate at outer iteration {row['k']}")
-            row["sigma_min_w"] = sigma_min
-        held.clear()
-
-    def record(k, p, g, inner_steps, certified):
-        row = dict(k=k, f=math.nan, grad_norm=l2_norm(g), sigma_min_w=math.nan,
-                   sigma_min_d=math.nan, resid_norm=math.nan, inner_steps=inner_steps)
-        computed = [row["grad_norm"]]
+    def record(k, p, g, certified):
+        computed = [l2_norm(g)]
         if certified:
             cert = certificate(stationarity_system(p, a, ds), g)
             spectrum[cert.spectrum] = spectrum.get(cert.spectrum, 0) + 1
-            row.update(f=cert.loss_value, sigma_min_d=cert.sigma_min_D,
-                       resid_norm=cert.residual_norm)
             computed += [cert.loss_value, cert.sigma_min_D, cert.residual_norm]
-            held.append((row, p.W))
+            held.append(p.W)
         if not all(map(math.isfinite, computed)):
             raise NumericsError(f"non-finite iterate at outer iteration {k}")
-        rows.append(row)
-        if len(held) == SPECTRA_BLOCK:
-            fill_sigma_min_w()
+        columns = (rec.grad_norm, rec.f, rec.sigma_min_d, rec.resid_norm)
+        for column, value in zip(columns, computed):
+            column[k] = value
+        if len(held) == SPECTRA_BLOCK or k == n_outer:
+            # one stacked SVD gives each matrix's values bit for bit as its own call
+            first = k + 1 - len(held)
+            svals = np.linalg.svd(np.stack(held), compute_uv=False)[:, -1]
+            row = first + np.flatnonzero(~np.isfinite(svals))
+            if row.size:
+                raise NumericsError(f"non-finite iterate at outer iteration {row[0]}")
+            rec.sigma_min_w[first:k + 1] = svals
+            held.clear()
 
     for k in range(n_outer):
         theta, _ = inner_sgd(params, a, ds, cfg, rng)
@@ -410,17 +418,8 @@ def run(a: ActivationFunction, ds: "Dataset", cfg: RunConfig, *,
             raise NumericsError(f"non-finite theta at outer iteration {k}")
         params = NetworkParams._derived(params.W, theta)
         g = grad_W(params, a, ds)
-        record(k, params, g, cfg.n_inner, certify_rows)
+        record(k, params, g, certify_rows)
         params = outer_step(params, g, gamma, L_ball)
 
-    record(n_outer, params, grad_W(params, a, ds), 0, True)
-    if held:
-        fill_sigma_min_w()
-
-    trajectory = TrajectoryRecord(
-        **{name: np.array([row[name] for row in rows])
-           for name in TRAJECTORY_FIELDS.values()},
-        derived={"n_inner": cfg.n_inner, "sigma": cfg.sigma, "gamma": gamma,
-                 "L_ball": L_ball, "f_init": f_init, "spectrum": spectrum},
-    )
-    return params, trajectory
+    record(n_outer, params, grad_W(params, a, ds), True)
+    return params, rec

@@ -1,4 +1,6 @@
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,29 @@ def svd_spectrum(M):
     sigma_min, sigma_max = svd_extremes(M)
     return diagnostics.SigmaExtremes(
         sigma_min, sigma_max, "svd", sigma_min > diagnostics.RANK_TOL * sigma_max)
+
+
+def sigma_min_exceeds(D, s):
+    """Whether sigma_min(D) > s >= 0 holds exactly for the float matrix D,
+    sigma_min its smallest column singular value: whether D^T D - s^2 I,
+    formed from D's and s's exact values in fractions.Fraction, passes an
+    LDL^T with every pivot positive, that is, is positive definite."""
+    cols = [[Fraction(x) for x in col]
+            for col in np.asarray(D, dtype=float).T.tolist()]
+    # the lower triangle of D^T D - s^2 I, eliminated in place
+    G = [[sum(map(operator.mul, ci, cj)) for cj in cols[:i + 1]]
+         for i, ci in enumerate(cols)]
+    s2 = Fraction(float(s)) ** 2
+    for i, row in enumerate(G):
+        row[i] -= s2
+    for k in range(len(G)):
+        if G[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(G)):
+            ratio = G[i][k] / G[k][k]
+            for j in range(k + 1, i + 1):
+                G[i][j] -= ratio * G[j][k]
+    return True
 
 
 def prox_step(x, y, radius):

@@ -365,10 +365,12 @@ def test_huge_initial_theta_projected(tmp_path, capsys, scale):
 
 
 @pytest.mark.parametrize("flags", [["--sigma", "1e200"],
-                                   ["--sigma", "1e160", "--n-inner", "5"]])
+                                   ["--sigma", "1e160", "--n-inner", "5"],
+                                   ["--sigma", "1e154"]])
 def test_sigma_overflow(tmp_path, capsys, flags):
     # N_i sigma^2 overflows the Python float that the step size beta is
-    # derived from
+    # derived from: in sigma^2 itself, or (at 1e154) only in the product,
+    # which would otherwise give beta = 0
     assert run_cli("train", "--d", "3", "--n-samples", "9", *flags,
                    "--out", str(tmp_path / "runs")) == 3
     err = capsys.readouterr().err

@@ -541,9 +541,11 @@ class TestRun:
     @pytest.mark.parametrize("block, n_outer, certify_rows", [
         (3, 2, True),                          # the final row fills a block
         (3, 7, True),                          # blocks of 3, 3 and 2 rows
+        (3, 5, True),                          # the final row fills a second block
         (None, optimizer.SPECTRA_BLOCK, True),   # one full block, then one row
         (None, 5, False),                      # the final row alone
-    ], ids=["one_block", "three_blocks", "real_block", "uncertified"])
+    ], ids=["one_block", "three_blocks", "two_blocks", "real_block",
+         "uncertified"])
     def test_sigma_min_w_is_svd_rank(self, monkeypatch, d, block, n_outer,
                                      certify_rows):
         # each certified row's W, in row order, as stationarity_system sees it
@@ -559,7 +561,8 @@ class TestRun:
         cfg = RunConfig(n_outer=n_outer, n_inner=2, sigma=0.2, seed=3)
         _, rec = run(SIG, make_realizable(d, 2 * d, seed=4), cfg,
                      certify_rows=certify_rows)
-        assert sum(stacks) == len(Ws) and max(stacks) <= block
+        full, rest = divmod(len(Ws), block)
+        assert stacks == [block] * full + [rest] * (rest > 0)
         certified = rec.sigma_min_w if certify_rows else rec.sigma_min_w[-1:]
         assert certified.tolist() == [svd_rank(W).sigma_min for W in Ws]
         assert np.isnan(rec.sigma_min_w[:len(rec) - len(Ws)]).all()
@@ -589,6 +592,24 @@ class TestRun:
         cfg = RunConfig(n_outer=3, n_inner=2, seed=1)
         with pytest.raises(NumericsError, match="outer iteration 0$"):
             run(SIG, make_realizable(3, 9, seed=4), cfg, certify_rows=False)
+
+    def test_non_finite_sigma_min_w_names_row(self, monkeypatch):
+        # blocks of rows 0-2, 3-5 and 6-7: poison the second block's middle row
+        stacks, svd = [], np.linalg.svd
+
+        def poisoned(M, **kw):
+            s = svd(M, **kw)
+            if M.ndim == 3:
+                stacks.append(len(M))
+                if len(stacks) == 2:
+                    s[1, -1] = np.nan
+            return s
+
+        monkeypatch.setattr(np.linalg, "svd", poisoned)
+        monkeypatch.setattr(optimizer, "SPECTRA_BLOCK", 3)
+        cfg = RunConfig(n_outer=7, n_inner=2, sigma=0.2, seed=1)
+        with pytest.raises(NumericsError, match="outer iteration 4$"):
+            run(SIG, make_realizable(3, 9, seed=4), cfg)
 
     @pytest.mark.parametrize("certify_rows", [True, False])
     def test_non_finite_theta_names_iteration(self, monkeypatch, certify_rows):
